@@ -100,9 +100,10 @@ inline UpdateBatch MakeBatch(Graph* g, double fraction, uint64_t seed) {
 /// live-overlay baseline so benches can compare the two.
 inline double RunDect(Workload& w,
                       SnapshotMode mode = SnapshotMode::kAuto) {
+  DectOptions opts;
+  opts.snapshot_mode = mode;
   WallTimer t;
-  VioSet vio =
-      Dect(*w.graph, w.sigma, DectOptions{GraphView::kNew, 0, mode});
+  VioSet vio = Dect(*w.graph, w.sigma, opts);
   ::benchmark::DoNotOptimize(vio.size());
   return t.ElapsedSeconds();
 }

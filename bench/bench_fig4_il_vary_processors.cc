@@ -14,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <thread>
 
 #include "bench_common.h"
 
@@ -145,8 +146,10 @@ void PrintShapeCheck() {
     double p2 = store.Get(Key(gc, "PIncDect", 2));
     double rel = store.Speedup(Key(gc, "IncDect", 1), Key(gc, "PIncDect", 2));
     std::printf("  [%s] PIncDect p=1->2: %.2fx; vs sequential IncDect at "
-                "p=2: %.2fx (host has 2 cores; paper scales to 20 machines)\n",
-                gc.name, p2 > 0 ? p1 / p2 : -1.0, rel);
+                "p=2: %.2fx (host has %u cores; paper scales to 20 "
+                "machines)\n",
+                gc.name, p2 > 0 ? p1 / p2 : -1.0, rel,
+                std::thread::hardware_concurrency());
     double d1 = store.Get(Key(gc, "PDect", 1));
     double d8 = store.Get(Key(gc, "PDect", 8));
     std::printf("  [%s] fragment PDect p=1->8: %.2fx wall clock; "

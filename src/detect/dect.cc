@@ -1,39 +1,49 @@
 #include "detect/dect.h"
 
-#include <algorithm>
 #include <optional>
 
 namespace ngd {
 
 namespace {
 
-/// Runs one detection sweep over every rule in Σ against one
-/// materialized search backend. The start node and MatchPlan are hoisted
-/// out of the candidate loop: one plan per rule per detection call,
-/// shared across all of that rule's seed candidates (and, via the
-/// snapshot, across all rules of the call).
+/// Runs one detection sweep over every rule in Σ against one search
+/// backend: opts.snapshot when given, else a CSR snapshot built here when
+/// opts.snapshot_mode resolves to one (ResolveSnapshot), else the live
+/// graph. The start node and MatchPlan are hoisted out of the candidate
+/// loop: one plan per rule per detection call, shared across all of that
+/// rule's seed candidates (and, via the snapshot, across all rules of the
+/// call).
 ///
 /// Emission has two modes:
 ///   - `sink != nullptr` (Dect): full matches stream straight into the
 ///     sink through a per-rule VioEmitter — batched block appends, no
 ///     std::function dispatch, no per-match allocation and no per-match
 ///     dedup (batch enumeration emits each binding exactly once per
-///     rule). `per_rule_limit` caps emissions per NGD (0 = unlimited),
-///     matching the old callback-counting semantics.
+///     rule). opts.max_violations_per_ngd caps emissions per NGD (0 =
+///     unlimited), matching the old callback-counting semantics.
 ///   - `sink == nullptr` (FindAnyViolation): `callback` receives each
 ///     violation; returning false ends that rule's search and — with
 ///     `stop_sweep_on_false` — the whole sweep (first-witness exit).
 ///
-/// `cancel` (optional) is polled between rules and inside the expansion
-/// loops; a trip marks the interrupted rule and every rule after it
-/// incomplete in `info` and sets info->truncated. `info` must be sized
-/// to sigma already (StartFull).
+/// opts.cancel / opts.deadline are polled between rules and inside the
+/// expansion loops; a trip marks the interrupted rule and every rule
+/// after it incomplete in the run info and sets its `truncated`.
 template <typename PerViolation>
-void SweepRules(const Graph& g, const GraphSnapshot* snap,
-                const NgdSet& sigma, GraphView view,
-                bool stop_sweep_on_false, CancelCheck* cancel,
-                DetectRunInfo* info, VioSet* sink, size_t per_rule_limit,
+void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
+                bool stop_sweep_on_false, VioSet* sink,
                 const PerViolation& callback) {
+  std::optional<GraphSnapshot> owned_snap;
+  const GraphSnapshot* snap = opts.snapshot;
+  if (snap == nullptr &&
+      ResolveSnapshot(g, sigma, opts.snapshot_mode, opts.view)) {
+    snap = &owned_snap.emplace(g, opts.view);
+  }
+  DetectRunInfo local_info;
+  DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
+  info->StartFull(sigma.size());
+  CancelCheck check(opts.cancel, opts.deadline);
+  CancelCheck* cancel = check.active() ? &check : nullptr;
+
   auto mark_truncated_from = [&](size_t f) {
     info->truncated = true;
     for (size_t r = f; r < sigma.size(); ++r) info->rule_completed[r] = 0;
@@ -50,13 +60,13 @@ void SweepRules(const Graph& g, const GraphSnapshot* snap,
     cfg.pattern = &ngd.pattern();
     cfg.x = &ngd.X();
     cfg.y = &ngd.Y();
-    cfg.view = view;
+    cfg.view = opts.view;
     cfg.find_violations = true;
     cfg.cancel = cancel;
     std::optional<VioEmitter> emitter;
     if (sink != nullptr) {
       emitter.emplace(sink, static_cast<int>(f), ngd.pattern().NumNodes(),
-                      per_rule_limit);
+                      opts.max_violations_per_ngd);
       cfg.emitter = &*emitter;
     }
     const int start = ChooseStartNode(ngd.pattern(), cfg.MakeAccessor());
@@ -75,57 +85,6 @@ void SweepRules(const Graph& g, const GraphSnapshot* snap,
     }
     if (!completed && stop_sweep_on_false) return;
   }
-}
-
-/// Regime probe for the kAuto cost model: samples a few seed expansions
-/// on the live graph and counts the violations they emit. When emission
-/// dominates (violation-dense graphs), matching speed is not the
-/// bottleneck and the O(|E|) snapshot build is pure overhead — the live
-/// engine wins. The probe is bounded: at most kProbeRules rules (spread
-/// across Σ), kProbeSeeds seed candidates each, and it stops the moment
-/// kProbeMatchCap violations are seen (already decisively dense). Work
-/// done here is a small prefix of what the live engine would do anyway,
-/// and it only runs once the seed-volume test has said "big sweep".
-bool EmissionDominated(const Graph& g, const NgdSet& sigma, GraphView view) {
-  constexpr size_t kProbeRules = 4;
-  constexpr size_t kProbeSeeds = 4;
-  constexpr size_t kProbeMatchCap = 256;
-  // Dense ⇔ sampled violations ≥ kDensePerSeed per probed seed.
-  constexpr size_t kDensePerSeed = 4;
-
-  const GraphAccessor acc(g, view);
-  const size_t stride = std::max<size_t>(1, sigma.size() / kProbeRules);
-  size_t seeds_probed = 0;
-  size_t violations = 0;
-  for (size_t f = 0; f < sigma.size() && violations < kProbeMatchCap;
-       f += stride) {
-    const Ngd& ngd = sigma[f];
-    SearchConfig cfg;
-    cfg.graph = &g;
-    cfg.pattern = &ngd.pattern();
-    cfg.x = &ngd.X();
-    cfg.y = &ngd.Y();
-    cfg.view = view;
-    cfg.find_violations = true;
-    const int start = ChooseStartNode(ngd.pattern(), acc);
-    const MatchPlan plan =
-        BuildMatchPlan(ngd.pattern(), {start}, &ngd.X(), &ngd.Y());
-    Binding binding(ngd.pattern().NumNodes(), kInvalidNode);
-    size_t rule_seeds = 0;
-    acc.ForEachCandidate(
-        ngd.pattern().node(start).label, [&](NodeId v) {
-          ++seeds_probed;
-          std::fill(binding.begin(), binding.end(), kInvalidNode);
-          binding[start] = v;
-          RunSeededSearch(cfg, plan, &binding, [&](const Binding&) {
-            ++violations;
-            return violations < kProbeMatchCap;
-          });
-          return ++rule_seeds < kProbeSeeds && violations < kProbeMatchCap;
-        });
-  }
-  if (seeds_probed == 0) return false;
-  return violations >= kDensePerSeed * seeds_probed;
 }
 
 }  // namespace
@@ -187,36 +146,26 @@ void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
 }
 
 bool WantSnapshot(const Graph& g, const NgdSet& sigma, GraphView view) {
-  // Regime guard and seed counting agree on the view being detected: a
+  // The edge guard and seed counting agree on the view being detected: a
   // graph whose edges are all pending in the OTHER view must not pay a
   // build for an edge-empty snapshot.
   if (g.NumEdges(view) == 0) return false;
-  // Regime 1 — matching-dominated. Σ_f |C(start_f)| approximates how many
-  // seed expansions the sweep performs; each streams an adjacency of
-  // average length 2|E|/|V|, while the snapshot build streams the
-  // adjacency a constant number of times with a sort-like constant. Seed
-  // volume ≥ 8|V| ⇒ the live engine would touch well over an order of
-  // magnitude more entries than the build, so the snapshot amortizes
-  // within this call.
+  // Σ_f |C(start_f)| approximates how many seed expansions the sweep
+  // performs; each streams an adjacency of average length 2|E|/|V|, while
+  // the snapshot build streams the adjacency a constant number of times
+  // with a sort-like constant. Seed volume ≥ 8|V| ⇒ the live engine would
+  // touch well over an order of magnitude more entries than the build, so
+  // the snapshot amortizes within this call.
   const GraphAccessor acc(g, view);
   size_t seed_candidates = 0;
   const size_t threshold = 8 * g.NumNodes();
-  bool big_sweep = false;
   for (size_t f = 0; f < sigma.size(); ++f) {
     const Pattern& pattern = sigma[f].pattern();
     seed_candidates += acc.CandidateCount(
         pattern.node(ChooseStartNode(pattern, acc)).label);
-    if (seed_candidates >= threshold) {
-      big_sweep = true;
-      break;
-    }
+    if (seed_candidates >= threshold) return true;
   }
-  if (!big_sweep) return false;
-  // Regime 2 — emission-dominated. A big sweep over a violation-dense
-  // graph spends its time materializing violations, which both engines
-  // pay identically; the build no longer amortizes against the (small)
-  // matching share. Sample the violation density before committing.
-  return !EmissionDominated(g, sigma, view);
+  return false;
 }
 
 bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode,
@@ -248,25 +197,9 @@ VioSet Dect(const Graph& g, const NgdSet& sigma, const DectOptions& opts) {
     return vio;
   }
 
-  std::optional<GraphSnapshot> snap;
-  const GraphSnapshot* use_snap = opts.snapshot;
-  if (use_snap == nullptr &&
-      ResolveSnapshot(g, sigma, opts.snapshot_mode, opts.view)) {
-    snap.emplace(g, opts.view);
-    use_snap = &*snap;
-  }
-
-  DetectRunInfo local_info;
-  DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
-  info->StartFull(sigma.size());
-  CancelCheck check(opts.cancel, opts.deadline);
-  CancelCheck* cancel = check.active() ? &check : nullptr;
-
   VioSet vio;
   if (opts.spill != nullptr) vio.EnableSpill(*opts.spill);
-  SweepRules(g, use_snap, sigma, opts.view,
-             /*stop_sweep_on_false=*/false, cancel, info, &vio,
-             opts.max_violations_per_ngd,
+  SweepRules(g, sigma, opts, /*stop_sweep_on_false=*/false, &vio,
              [](int, const Binding&) { return true; });
   return vio;
 }
@@ -296,23 +229,9 @@ std::optional<Violation> FindAnyViolation(const Graph& g, const NgdSet& sigma,
   // so the same kAuto cost model applies as for Dect; callers who know
   // violations are common pass kNever to skip the O(|E|) build an early
   // witness would waste.
-  std::optional<GraphSnapshot> snap;
-  const GraphSnapshot* use_snap = opts.snapshot;
-  if (use_snap == nullptr &&
-      ResolveSnapshot(g, sigma, opts.snapshot_mode, opts.view)) {
-    snap.emplace(g, opts.view);
-    use_snap = &*snap;
-  }
-  DetectRunInfo local_info;
-  DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
-  info->StartFull(sigma.size());
-  CancelCheck check(opts.cancel, opts.deadline);
-  CancelCheck* cancel = check.active() ? &check : nullptr;
-
   std::optional<Violation> witness;
-  SweepRules(g, use_snap, sigma, opts.view,
-             /*stop_sweep_on_false=*/true, cancel, info, /*sink=*/nullptr,
-             /*per_rule_limit=*/0, [&](int f, const Binding& binding) {
+  SweepRules(g, sigma, opts, /*stop_sweep_on_false=*/true, /*sink=*/nullptr,
+             [&](int f, const Binding& binding) {
                witness = Violation{f, binding};
                return false;  // stop at first violation
              });

@@ -53,7 +53,39 @@ struct DetectRunInfo {
   }
 };
 
-struct DectOptions {
+/// The run controls every detection engine (Dect, IncDect, PDect,
+/// PIncDect) accepts. Each engine's options struct derives from this, so
+/// the fields keep their names (`opts.spill`, `opts.deadline`, ...) and
+/// mean the same thing everywhere; engine-specific refinements are noted
+/// on the derived struct.
+struct RunControl {
+  /// Σ-optimizer (reason/sigma_optimizer.h): kNever runs Σ verbatim (the
+  /// default and the equivalence oracle); kAlways/kAuto detect against the
+  /// implication-minimized rule set — dropped rules spawn no work — and
+  /// remap violation indices back to Σ. Kept-rule violations are preserved
+  /// exactly; dropped (implied) rules report none — any graph violating
+  /// them also violates a kept rule.
+  MinimizeMode minimize_sigma = MinimizeMode::kNever;
+  SigmaOptimizerOptions sigma_optimizer = {};
+  /// Graceful degradation: an externally cancellable run and/or a time
+  /// budget. When either trips mid-sweep the engine stops expanding,
+  /// returns the violations found so far, and reports the partial-result
+  /// shape through `run_info`: a rule is complete when every one of its
+  /// units of work finished. The process never aborts.
+  CancelToken* cancel = nullptr;
+  Deadline deadline = {};
+  /// Optional out-param (must outlive the call): filled on every run,
+  /// truncated or not. Engines re-entering under Σ-minimization remap it.
+  DetectRunInfo* run_info = nullptr;
+  /// Streaming results: when set, the result spills sorted checksummed
+  /// segments under spill->path_prefix past spill->budget_bytes instead
+  /// of holding everything resident; read it back with VioSet::OpenCursor
+  /// (the checked/whole-set surface is then off limits — see
+  /// detect/vio_stream.h).
+  const VioSpillOptions* spill = nullptr;
+};
+
+struct DectOptions : RunControl {
   GraphView view = GraphView::kNew;
   /// Safety valve for adversarial rule sets: stop collecting per NGD after
   /// this many violations (0 = unlimited).
@@ -64,29 +96,28 @@ struct DectOptions {
   /// describe `view` of `g`. When set it overrides snapshot_mode: the
   /// engine skips its own build and never falls back to the live graph.
   const GraphSnapshot* snapshot = nullptr;
-  /// Σ-optimizer (reason/sigma_optimizer.h): kNever runs Σ verbatim (the
-  /// default and the equivalence oracle); kAlways/kAuto detect against the
-  /// implication-minimized rule set and remap violation indices back to Σ.
-  /// Kept-rule violations are preserved exactly; dropped (implied) rules
-  /// report none — any graph violating them also violates a kept rule.
-  MinimizeMode minimize_sigma = MinimizeMode::kNever;
-  SigmaOptimizerOptions sigma_optimizer = {};
-  /// Graceful degradation: an externally cancellable run and/or a time
-  /// budget. When either trips mid-sweep the engine stops expanding,
-  /// returns the violations found so far, and reports the partial-result
-  /// shape through `run_info`. The process never aborts.
-  CancelToken* cancel = nullptr;
-  Deadline deadline = {};
-  /// Optional out-param (must outlive the call): filled on every run,
-  /// truncated or not. Engines re-entering under Σ-minimization remap it.
-  DetectRunInfo* run_info = nullptr;
-  /// Streaming results: when set, the returned VioSet spills sorted
-  /// checksummed segments past opts->budget_bytes instead of holding
-  /// everything resident; read it back with VioSet::OpenCursor (the
-  /// checked/whole-set surface is then off limits — see
-  /// detect/vio_stream.h).
-  const VioSpillOptions* spill = nullptr;
 };
+
+/// Shared engine boilerplate: resolves the RunControl's Σ-minimization
+/// and — when detection should run the minimized set — fills *inner with
+/// a copy of `opts` whose mode is cleared, so the engine can re-enter
+/// itself once and apply its type-specific remap. Keeping this in ONE
+/// place means a change to the resolve contract cannot drift across the
+/// engines.
+template <typename Options>
+bool BeginMinimizedDetection(const NgdSet& sigma, const SchemaPtr& schema,
+                             const Options& opts, Options* inner,
+                             MinimizedSigma* minimized) {
+  const RunControl& run = opts;
+  if (run.minimize_sigma == MinimizeMode::kNever) return false;
+  if (!ResolveMinimizedSigma(sigma, schema, run.minimize_sigma,
+                             run.sigma_optimizer, minimized)) {
+    return false;
+  }
+  *inner = opts;
+  inner->minimize_sigma = MinimizeMode::kNever;
+  return true;
+}
 
 /// Remaps a DetectRunInfo produced against a minimized Σ back to the
 /// caller's catalog: kept rules copy their marks; a dropped (implied)
@@ -99,15 +130,11 @@ struct DectOptions {
 void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
                   size_t original_rules, DetectRunInfo* out);
 
-/// The kAuto cost model, two regimes, both evaluated on `view` — the view
-/// detection will actually match (a pending-heavy overlay graph must not
-/// be judged by the other view's edges):
-///   1. matching-dominated: the seed-candidate volume of Σ (the adjacency
-///      the live engine would stream) must be large enough to amortize
-///      the O(|E|) snapshot build within this one call;
-///   2. emission-dominated: if a bounded density probe then finds the
-///      graph violation-dense, materializing violations dominates either
-///      engine and the build never pays for itself — stay live.
+/// The kAuto cost model, evaluated on `view` — the view detection will
+/// actually match (a pending-heavy overlay graph must not be judged by the
+/// other view's edges): build the snapshot when the seed-candidate volume
+/// of Σ (the adjacency the live engine would stream) reaches 8|V|, enough
+/// to amortize the O(|E|) build within this one call.
 bool WantSnapshot(const Graph& g, const NgdSet& sigma,
                   GraphView view = GraphView::kNew);
 

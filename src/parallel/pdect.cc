@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "util/thread_annotations.h"
 #include "util/timer.h"
@@ -92,18 +91,19 @@ class FragmentDectEngine {
     }
 
     // Owner-computes seeding: fragment f expands exactly the candidates
-    // it owns, in seed_chunk-sized units (the steal granularity).
-    const size_t chunk = std::max<size_t>(1, opts_.seed_chunk);
+    // it owns, in kSeedChunk-sized units (the steal granularity).
+    constexpr size_t kSeedChunk = 256;
     for (int f = 0; f < p_; ++f) {
       const FragmentSnapshot& frag = rt_.fragment(f);
       for (size_t r = 0; r < sigma_.size(); ++r) {
         const size_t count = frag.candidates.Count(start_label_[r]);
-        for (size_t b = 0; b < count; b += chunk) {
+        for (size_t b = 0; b < count; b += kSeedChunk) {
           PUnit u;
           u.ngd = static_cast<int32_t>(r);
           u.home = f;
           u.chunk_begin = static_cast<uint32_t>(b);
-          u.chunk_end = static_cast<uint32_t>(std::min(b + chunk, count));
+          u.chunk_end =
+              static_cast<uint32_t>(std::min(b + kSeedChunk, count));
           pending_[r].fetch_add(1, std::memory_order_relaxed);
           pool_.Seed(f, std::move(u));
         }
@@ -395,144 +395,6 @@ class FragmentDectEngine {
   std::unique_ptr<std::atomic<uint32_t>[]> pending_;
 };
 
-/// The legacy shared-memory path: static owner-computes seed assignment
-/// over one caller-supplied CSR snapshot every worker reads. No halos, no
-/// communication accounting (a shared-memory machine has neither).
-PDectResult SharedSnapshotPDect(const Graph& g, const NgdSet& sigma,
-                                const PDectOptions& opts) {
-  WallTimer timer;
-  const int p = std::max(1, opts.num_processors);
-  Partition partition = PartitionGraph(g, p, opts.view);
-  const GraphAccessor acc(*opts.snapshot);
-
-  struct Seed {
-    int ngd_index;
-    int start;
-    NodeId node;
-  };
-  std::vector<std::vector<Seed>> assigned(p);
-  std::vector<int> start_of(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    const Pattern& pattern = sigma[f].pattern();
-    const int start = ChooseStartNode(pattern, acc);
-    start_of[f] = start;
-    ForEachCandidate(acc, pattern.node(start).label, [&](NodeId v) {
-      assigned[partition.fragment_of[v]].push_back(
-          Seed{static_cast<int>(f), start, v});
-      return true;
-    });
-  }
-
-  std::vector<MatchPlan> plans;
-  plans.reserve(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    plans.push_back(BuildMatchPlan(sigma[f].pattern(), {start_of[f]},
-                                   &sigma[f].X(), &sigma[f].Y()));
-  }
-
-  // Cancellation: one shared broadcast token, one CancelCheck per worker.
-  CancelToken owned_token;
-  CancelToken* token = opts.cancel;
-  if (token == nullptr && opts.deadline.armed()) token = &owned_token;
-  auto rule_ok = std::make_unique<std::atomic<uint8_t>[]>(sigma.size());
-  for (size_t r = 0; r < sigma.size(); ++r) {
-    rule_ok[r].store(1, std::memory_order_relaxed);
-  }
-
-  ClusterMetrics metrics;
-  std::vector<VioSet> local(p);
-  // Finished worker sets, handed off under a real lock at worker exit
-  // (see FragmentDectEngine::RetireWorker for the rationale).
-  struct MergeState {
-    Mutex mu;
-    std::vector<std::pair<int, VioSet>> finished NGD_GUARDED_BY(mu);
-  } merge;
-  if (opts.spill != nullptr) {
-    VioSpillOptions wopts = *opts.spill;
-    wopts.budget_bytes = opts.spill->budget_bytes / static_cast<size_t>(p);
-    for (int i = 0; i < p; ++i) {
-      wopts.path_prefix = opts.spill->path_prefix + ".w" + std::to_string(i);
-      local[i].EnableSpill(wopts);
-    }
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(p);
-  for (int i = 0; i < p; ++i) {
-    workers.emplace_back([&, i]() {
-      CancelCheck check(token, opts.deadline);
-      CancelCheck* cancel = check.active() ? &check : nullptr;
-      for (size_t s = 0; s < assigned[i].size(); ++s) {
-        if (cancel != nullptr && cancel->ShouldStop()) {
-          // Unprocessed seeds leave their rules incomplete.
-          for (size_t rest = s; rest < assigned[i].size(); ++rest) {
-            rule_ok[assigned[i][rest].ngd_index].store(
-                0, std::memory_order_relaxed);
-          }
-          break;
-        }
-        const Seed& seed = assigned[i][s];
-        metrics.work_units.fetch_add(1, std::memory_order_relaxed);
-        const Ngd& ngd = sigma[seed.ngd_index];
-        SearchConfig cfg;
-        cfg.graph = &g;
-        cfg.snapshot = opts.snapshot;
-        cfg.pattern = &ngd.pattern();
-        cfg.x = &ngd.X();
-        cfg.y = &ngd.Y();
-        cfg.view = opts.view;
-        cfg.find_violations = true;
-        cfg.cancel = cancel;
-        Binding binding(ngd.pattern().NumNodes(), kInvalidNode);
-        binding[seed.start] = seed.node;
-        RunSeededSearch(cfg, plans[seed.ngd_index], &binding,
-                        [&](const Binding& match) {
-                          // Each (rule, seed) pair is assigned to exactly
-                          // one worker and seeded expansion never repeats
-                          // a binding, so the append skips the hash probe.
-                          local[i].AppendUnchecked(seed.ngd_index,
-                                                   match.data(), match.size());
-                          return true;
-                        });
-        if (cancel != nullptr && cancel->Stopped()) {
-          rule_ok[seed.ngd_index].store(0, std::memory_order_relaxed);
-        }
-      }
-      MutexLock lock(&merge.mu);
-      merge.finished.emplace_back(i, std::move(local[i]));
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  PDectResult result;
-  // Per-worker sets are globally disjoint (seed ownership), so the merge
-  // is a rehash-free arena concatenation (result spill first — see the
-  // fragment-native path).
-  if (opts.spill != nullptr) result.vio.EnableSpill(*opts.spill);
-  {
-    MutexLock lock(&merge.mu);
-    std::sort(merge.finished.begin(), merge.finished.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& f : merge.finished) {
-      result.vio.MergeDisjointUnchecked(std::move(f.second));
-    }
-  }
-  result.crossing_edges = partition.crossing_edges;
-  result.fragments = p;
-  result.metrics = SnapshotOf(metrics);
-  result.elapsed_seconds = timer.ElapsedSeconds();
-  DetectRunInfo local_info;
-  DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
-  info->StartFull(sigma.size());
-  for (size_t r = 0; r < sigma.size(); ++r) {
-    if (rule_ok[r].load(std::memory_order_relaxed) == 0) {
-      info->rule_completed[r] = 0;
-      info->truncated = true;
-    }
-  }
-  result.truncated = info->truncated;
-  return result;
-}
-
 }  // namespace
 
 PDectResult PDect(const Graph& g, const NgdSet& sigma,
@@ -553,8 +415,6 @@ PDectResult PDect(const Graph& g, const NgdSet& sigma,
     }
     return result;
   }
-
-  if (opts.snapshot != nullptr) return SharedSnapshotPDect(g, sigma, opts);
 
   WallTimer timer;
   const int p = std::max(1, opts.num_processors);

@@ -31,15 +31,16 @@
 
 namespace ngd {
 
-struct PDectOptions {
+/// Run controls (RunControl): minimization seeds fragments from the kept
+/// rules only; when the token trips or the deadline expires, workers stop
+/// expanding and the pool drains the remaining queued units unprocessed
+/// (a rule is complete when every one of its work units — seed chunks,
+/// forwards, splits — was fully processed); each worker-local set spills
+/// under "<path_prefix>.w<i>" with budget_bytes/p, and the merged result
+/// keeps spilling under "<path_prefix>".
+struct PDectOptions : RunControl {
   int num_processors = 4;
   GraphView view = GraphView::kNew;
-  /// Pre-built shared CSR snapshot (e.g. loaded from a binary snapshot
-  /// file): selects the LEGACY shared-memory path — static owner-computes
-  /// seed assignment over one snapshot all workers read, no halos, no
-  /// communication accounting. Kept for callers that already hold a full
-  /// snapshot (ngdcheck) and as the shared-memory baseline.
-  const GraphSnapshot* snapshot = nullptr;
   /// Pre-built fragment runtime to amortize partitioning + fragment CSR
   /// builds across calls (benchmarks, warm starts via FragmentRuntime::
   /// Load). Used when it matches: num_fragments == num_processors, same
@@ -53,31 +54,9 @@ struct PDectOptions {
   size_t min_forward_adjacency = 8;
   /// Owned adjacencies never split below this length.
   size_t min_split_adjacency = 64;
-  /// Seed candidates per work unit (steal/balance granularity).
-  size_t seed_chunk = 256;
   bool enable_steal = true;    ///< idle workers steal across fragments
   bool enable_forward = true;  ///< hybrid forward-to-owner at halos
   bool enable_split = true;    ///< work-unit splitting of hub adjacency
-  /// Σ-optimizer (reason/sigma_optimizer.h): kAlways/kAuto seed fragments
-  /// from the implication-minimized rule set only (dropped rules spawn no
-  /// work units) and remap violation indices back to Σ.
-  MinimizeMode minimize_sigma = MinimizeMode::kNever;
-  SigmaOptimizerOptions sigma_optimizer = {};
-  /// Graceful degradation (see DectOptions): when the token trips or the
-  /// deadline expires, workers stop expanding and the pool drains the
-  /// remaining queued units unprocessed. The call returns the violations
-  /// found so far with `truncated` set; `run_info` (optional, must
-  /// outlive the call) reports which rules' enumerations still finished —
-  /// a rule is complete when every one of its work units (seed chunks,
-  /// forwards, splits) was fully processed.
-  CancelToken* cancel = nullptr;
-  Deadline deadline = {};
-  DetectRunInfo* run_info = nullptr;
-  /// Streaming results: each worker-local set spills under
-  /// "<path_prefix>.w<i>" with budget_bytes/p, and the merged result
-  /// keeps spilling under "<path_prefix>" (see DectOptions::spill and
-  /// detect/vio_stream.h). Read result.vio back with OpenCursor.
-  const VioSpillOptions* spill = nullptr;
   /// Producer backpressure: a worker whose mid-run spawn (split slice,
   /// forward, child unit) targets a queue at or past this depth executes
   /// the unit inline instead of enqueueing it, bounding queue state under
@@ -96,8 +75,7 @@ struct PDectResult {
   int fragments = 1;          ///< p actually used
   /// Communication / balancing counters. replicated_nodes = Σ_f |halo(f)|
   /// (actual replica volume); messages = halo scans + forwards + steals +
-  /// split broadcasts. Zero on the legacy shared-snapshot path, which
-  /// models a shared-memory machine.
+  /// split broadcasts.
   ClusterMetricsSnapshot metrics;
 };
 

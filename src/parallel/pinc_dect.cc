@@ -27,8 +27,7 @@ class PIncDectEngine {
         p_(std::max(1, opts.num_processors)),
         index_(g, batch),
         nc_(0),
-        pool_(p_, &metrics_, opts.enable_steal && p_ > 1,
-              opts.max_queue_depth),
+        pool_(p_, &metrics_, /*enable_steal=*/false, opts.max_queue_depth),
         local_added_(p_),
         local_removed_(p_) {
     // Streaming results: each worker-local delta half spills under its
@@ -152,15 +151,14 @@ class PIncDectEngine {
             u.edge.src < rt->partition().fragment_of.size()) {
           target = rt->OwnerOf(u.edge.src);
         }
-        unit.home_fragment = target;
         pending_[t.ngd_index].fetch_add(1, std::memory_order_relaxed);
         pool_.Seed(target, std::move(unit));
         ++i;
       }
     }
 
-    // Step 4+5: workers expand (stealing when enabled); the caller thread
-    // runs the skew balancer at its interval via the pool tick.
+    // Step 4+5: workers expand; the caller thread runs the skew balancer
+    // at its interval via the pool tick.
     {
       using namespace std::chrono;
       auto last_balance = steady_clock::now();
@@ -213,7 +211,6 @@ class PIncDectEngine {
     result.work_units = metrics_.work_units.load();
     result.splits = metrics_.splits.load();
     result.balance_moves = metrics_.balance_moves.load();
-    result.steals = metrics_.steals.load();
     result.elapsed_seconds = timer.ElapsedSeconds();
     // Per-rule completion: units retire their pending count only when
     // fully processed, so anything drained unprocessed by a cancelled
@@ -242,16 +239,20 @@ class PIncDectEngine {
     return view == GraphView::kNew ? acc_new_ : acc_old_;
   }
 
+  /// Moves half the queue of every processor whose skewness exceeds η to
+  /// the processors below η'.
   void BalanceOnce() {
+    constexpr double kSkewThreshold = 3.0;      // η
+    constexpr double kReceiverThreshold = 0.7;  // η'
     std::vector<size_t> sizes = pool_.QueueSizes();
     std::vector<double> skew = ComputeSkewness(sizes);
     std::vector<int> receivers;
     for (int i = 0; i < p_; ++i) {
-      if (skew[i] < opts_.receiver_threshold) receivers.push_back(i);
+      if (skew[i] < kReceiverThreshold) receivers.push_back(i);
     }
     if (receivers.empty()) return;
     for (int i = 0; i < p_; ++i) {
-      if (skew[i] <= opts_.skew_threshold) continue;
+      if (skew[i] <= kSkewThreshold) continue;
       std::vector<PWorkUnit> moved = pool_.HarvestFront(i, sizes[i] / 2);
       if (moved.empty()) continue;
       metrics_.balance_moves += moved.size();
@@ -412,7 +413,6 @@ class PIncDectEngine {
           child.ngd_index = unit.ngd_index;
           child.pattern_edge = unit.pattern_edge;
           child.update_index = unit.update_index;
-          child.home_fragment = unit.home_fragment;
           child.depth = unit.depth + 1;
           child.y_false = unit.y_false;
           child.y_ready = unit.y_ready;

@@ -33,7 +33,15 @@
 
 namespace ngd {
 
-struct PIncDectOptions {
+/// Run controls (RunControl): minimization enumerates pivots, extracts
+/// N_C and partitions workloads over the kept rules only; a tripped token
+/// or expired deadline stops the workers and drains the queues (a rule is
+/// complete only when every one of its pivot work units, including splits
+/// and spawned children, finished); worker-local ΔVio sets spill under
+/// "<path_prefix>.add.w<i>" / "<path_prefix>.rem.w<i>" with budget_bytes/p
+/// each, and the merged delta keeps spilling under "<path_prefix>.add" /
+/// "<path_prefix>.rem".
+struct PIncDectOptions : RunControl {
   int num_processors = 4;
   /// Backend selection, exactly as IncDectOptions: kNever = live overlay
   /// graph (the oracle/baseline), kAlways = DeltaView over the base
@@ -53,41 +61,15 @@ struct PIncDectOptions {
   int balance_interval_ms = 45;
   bool enable_split = true;    ///< off = PIncDect_ns
   bool enable_balance = true;  ///< off = PIncDect_nb
-  double skew_threshold = 3.0;      ///< η
-  double receiver_threshold = 0.7;  ///< η'
   /// Adjacency lists shorter than this never split (guard against
   /// degenerate splits of tiny lists).
   size_t min_split_adjacency = 8;
-  /// Idle processors steal work units across queues (off by default: the
-  /// paper's PIncDect balances by skewness only; stealing is the
-  /// fragment-runtime extension, metered separately in `steals`).
-  bool enable_steal = false;
   /// Optional fragment runtime (parallel/cluster.h): when set and built
   /// with num_fragments == num_processors, each pivot's initial work unit
   /// is placed on the processor owning the pivot's source node —
   /// fragment-affine placement instead of round-robin. N_C stays
   /// replicated everywhere, so any processor can still run any unit.
   const FragmentRuntime* runtime = nullptr;
-  /// Σ-optimizer (reason/sigma_optimizer.h): kAlways/kAuto enumerate
-  /// pivots, extract N_C and partition workloads over the implication-
-  /// minimized rule set only, remapping ΔVio indices back to Σ. kNever
-  /// (default) is the oracle.
-  MinimizeMode minimize_sigma = MinimizeMode::kNever;
-  SigmaOptimizerOptions sigma_optimizer = {};
-  /// Graceful degradation (see DectOptions / PDectOptions): a tripped
-  /// token or expired deadline stops the workers and drains the queues;
-  /// the call returns the ΔVio found so far with `truncated` set, and
-  /// `run_info` marks a rule complete only when every one of its pivot
-  /// work units (including splits and spawned children) finished.
-  CancelToken* cancel = nullptr;
-  Deadline deadline = {};
-  DetectRunInfo* run_info = nullptr;
-  /// Streaming results: worker-local ΔVio sets spill under
-  /// "<path_prefix>.add.w<i>" / "<path_prefix>.rem.w<i>" with
-  /// budget_bytes/p each; the merged delta keeps spilling under
-  /// "<path_prefix>.add" / "<path_prefix>.rem" (see DectOptions::spill
-  /// and detect/vio_stream.h).
-  const VioSpillOptions* spill = nullptr;
   /// Producer backpressure (see PDectOptions::max_queue_depth): mid-run
   /// split broadcasts and child spawns targeting a queue at or past this
   /// depth execute inline on the producing worker. 0 disables; initial
@@ -106,7 +88,6 @@ struct PIncDectResult {
   uint64_t work_units = 0;
   uint64_t splits = 0;
   uint64_t balance_moves = 0;
-  uint64_t steals = 0;
 };
 
 /// Computes ΔVio(Σ, G, ΔG) with p simulated processors. `g` must carry ΔG

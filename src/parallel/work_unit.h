@@ -20,10 +20,6 @@ struct PWorkUnit {
   int32_t ngd_index = -1;
   int32_t pattern_edge = -1;
   int32_t update_index = -1;
-  /// Fragment whose CSR serves this unit's expansion (fragment-native
-  /// PDect; stolen units keep their home and read the victim's fragment —
-  /// the steal message paid for the remote access).
-  int32_t home_fragment = 0;
   /// Number of plan steps already applied (the unit expands step `depth`).
   int32_t depth = 0;
   /// Slice of the anchor adjacency to scan; (-1,-1) means the full list.

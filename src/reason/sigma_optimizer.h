@@ -150,27 +150,6 @@ bool ResolveMinimizedSigma(const NgdSet& sigma, const SchemaPtr& schema,
 /// Test hook: drops every cached kept-set.
 void ClearSigmaOptimizerCache();
 
-/// Shared engine boilerplate: for any options struct carrying
-/// `minimize_sigma` + `sigma_optimizer` (DectOptions, IncDectOptions,
-/// PDectOptions, PIncDectOptions), resolves minimization and — when
-/// detection should run the minimized set — fills *inner with a copy of
-/// `opts` whose mode is cleared, so the engine can re-enter itself once
-/// and apply its type-specific remap. Keeping this in ONE place means a
-/// change to the resolve contract cannot drift across the five engines.
-template <typename Options>
-bool BeginMinimizedDetection(const NgdSet& sigma, const SchemaPtr& schema,
-                             const Options& opts, Options* inner,
-                             MinimizedSigma* minimized) {
-  if (opts.minimize_sigma == MinimizeMode::kNever) return false;
-  if (!ResolveMinimizedSigma(sigma, schema, opts.minimize_sigma,
-                             opts.sigma_optimizer, minimized)) {
-    return false;
-  }
-  *inner = opts;
-  inner->minimize_sigma = MinimizeMode::kNever;
-  return true;
-}
-
 /// Remaps rule indices of violations found against a minimized Σ back to
 /// the original catalog via OptimizeReport::kept.
 VioSet RemapViolations(VioSet vio, const std::vector<int>& kept);

@@ -285,7 +285,7 @@ TEST(FragmentPDectTest, ForwardingResolvesBoundaryCrossingHubs) {
 
 // ---- Differential: fragment-affine PIncDect vs IncDect -------------------
 
-TEST(FragmentPIncDectTest, RuntimePlacementAndStealingMatchOracle) {
+TEST(FragmentPIncDectTest, RuntimePlacementMatchesOracle) {
   const int cases = std::max(1, FragCases() / 2);
   for (int c = 0; c < cases; ++c) {
     const uint64_t seed = 2000 + 29 * static_cast<uint64_t>(c);
@@ -311,7 +311,6 @@ TEST(FragmentPIncDectTest, RuntimePlacementAndStealingMatchOracle) {
     PIncDectOptions opts;
     opts.num_processors = 4;
     opts.runtime = &rt;
-    opts.enable_steal = true;
     opts.balance_interval_ms = 5;
     auto result = PIncDect(*g, sigma, batch, opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -324,12 +323,12 @@ TEST(FragmentPIncDectTest, RuntimePlacementAndStealingMatchOracle) {
       EXPECT_TRUE(result->delta.removed.Contains(v));
     }
 
-    // Steal-off control: same result, zero steals metered.
-    PIncDectOptions no_steal = opts;
-    no_steal.enable_steal = false;
-    auto r2 = PIncDect(*g, sigma, batch, no_steal);
+    // Balancer-off control (PIncDect_nb): same result, no moves metered.
+    PIncDectOptions no_balance = opts;
+    no_balance.enable_balance = false;
+    auto r2 = PIncDect(*g, sigma, batch, no_balance);
     ASSERT_TRUE(r2.ok());
-    EXPECT_EQ(r2->steals, 0u);
+    EXPECT_EQ(r2->balance_moves, 0u);
     EXPECT_EQ(r2->delta.added.size(), result->delta.added.size());
     EXPECT_EQ(r2->delta.removed.size(), result->delta.removed.size());
   }

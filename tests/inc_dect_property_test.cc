@@ -46,7 +46,7 @@ TEST_P(IncDectPropertyTest, DeltaEqualsBatchDiff) {
   ASSERT_TRUE(ValidateForIncremental(sigma).ok());
 
   // Batch result on G.
-  VioSet before = Dect(*g, sigma, DectOptions{GraphView::kNew});
+  VioSet before = Dect(*g, sigma, DectOptions{{}, GraphView::kNew});
 
   UpdateGenOptions up;
   up.fraction = pc.update_fraction;
@@ -56,7 +56,7 @@ TEST_P(IncDectPropertyTest, DeltaEqualsBatchDiff) {
   ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok());
 
   // The old view still reproduces Vio(Σ, G).
-  VioSet before_check = Dect(*g, sigma, DectOptions{GraphView::kOld});
+  VioSet before_check = Dect(*g, sigma, DectOptions{{}, GraphView::kOld});
   EXPECT_EQ(before.size(), before_check.size());
 
   auto delta = IncDect(*g, sigma, batch);
@@ -71,7 +71,7 @@ TEST_P(IncDectPropertyTest, DeltaEqualsBatchDiff) {
   }
 
   VioSet incremental = ApplyDelta(before, *delta);
-  VioSet after = Dect(*g, sigma, DectOptions{GraphView::kNew});
+  VioSet after = Dect(*g, sigma, DectOptions{{}, GraphView::kNew});
   EXPECT_EQ(incremental.size(), after.size());
   for (const auto& v : after.items()) {
     EXPECT_TRUE(incremental.Contains(v))
@@ -84,7 +84,7 @@ TEST_P(IncDectPropertyTest, DeltaEqualsBatchDiff) {
 
   // After Commit, the new view is the only view and must agree.
   g->Commit();
-  VioSet committed = Dect(*g, sigma, DectOptions{GraphView::kNew});
+  VioSet committed = Dect(*g, sigma, DectOptions{{}, GraphView::kNew});
   EXPECT_EQ(committed.size(), after.size());
 }
 
@@ -116,7 +116,7 @@ TEST(IncDectSequenceTest, MaintainsViolationSetAcrossBatches) {
   NgdSet sigma = GenerateNgdSet(*g, gen);
   ASSERT_GT(sigma.size(), 0u);
 
-  VioSet vio = Dect(*g, sigma, DectOptions{GraphView::kNew});
+  VioSet vio = Dect(*g, sigma, DectOptions{{}, GraphView::kNew});
   for (int round = 0; round < 4; ++round) {
     UpdateGenOptions up;
     up.fraction = 0.08;
@@ -127,7 +127,7 @@ TEST(IncDectSequenceTest, MaintainsViolationSetAcrossBatches) {
     ASSERT_TRUE(delta.ok());
     vio = ApplyDelta(vio, *delta);
     g->Commit();
-    VioSet check = Dect(*g, sigma, DectOptions{GraphView::kNew});
+    VioSet check = Dect(*g, sigma, DectOptions{{}, GraphView::kNew});
     ASSERT_EQ(vio.size(), check.size()) << "round " << round;
     for (const auto& v : check.items()) {
       ASSERT_TRUE(vio.Contains(v)) << "round " << round;
@@ -147,7 +147,7 @@ TEST_P(GammaSweepTest, CorrectForAllRatios) {
   gen.max_diameter = 2;
   gen.seed = 78;
   NgdSet sigma = GenerateNgdSet(*g, gen);
-  VioSet before = Dect(*g, sigma, DectOptions{GraphView::kNew});
+  VioSet before = Dect(*g, sigma, DectOptions{{}, GraphView::kNew});
 
   UpdateGenOptions up;
   up.fraction = 0.15;
@@ -158,7 +158,7 @@ TEST_P(GammaSweepTest, CorrectForAllRatios) {
   auto delta = IncDect(*g, sigma, batch);
   ASSERT_TRUE(delta.ok());
   VioSet incremental = ApplyDelta(before, *delta);
-  VioSet after = Dect(*g, sigma, DectOptions{GraphView::kNew});
+  VioSet after = Dect(*g, sigma, DectOptions{{}, GraphView::kNew});
   EXPECT_EQ(incremental.size(), after.size());
 }
 

@@ -526,8 +526,9 @@ TEST(SnapshotIoEquivalenceTest, TextAndBinaryIngestAgreeOnAllFourEngines) {
     auto gb = MaterializeGraph(**loaded);
     ASSERT_TRUE(gb.ok()) << gb.status().ToString();
 
-    // Batch: Dect and PDect, text path vs loaded-snapshot path; the
-    // violation byte serialization must be identical.
+    // Batch: Dect and PDect, text path vs loaded-snapshot path (Dect
+    // matches the loaded snapshot, PDect fragments the materialized
+    // graph); the violation byte serialization must be identical.
     DectOptions dopts_t;
     const VioSet vio_t = Dect(**gt, sigma, dopts_t);
     DectOptions dopts_b;
@@ -535,12 +536,10 @@ TEST(SnapshotIoEquivalenceTest, TextAndBinaryIngestAgreeOnAllFourEngines) {
     const VioSet vio_b = Dect(**gb, sigma, dopts_b);
     EXPECT_EQ(VioBytes(vio_t, sigma), VioBytes(vio_b, sigma)) << "case " << c;
 
-    PDectOptions popts_t;
-    popts_t.num_processors = 3;
-    const VioSet pvio_t = PDect(**gt, sigma, popts_t).vio;
-    PDectOptions popts_b = popts_t;
-    popts_b.snapshot = loaded->get();
-    const VioSet pvio_b = PDect(**gb, sigma, popts_b).vio;
+    PDectOptions popts;
+    popts.num_processors = 3;
+    const VioSet pvio_t = PDect(**gt, sigma, popts).vio;
+    const VioSet pvio_b = PDect(**gb, sigma, popts).vio;
     EXPECT_EQ(VioBytes(pvio_t, sigma), VioBytes(pvio_b, sigma))
         << "case " << c;
 

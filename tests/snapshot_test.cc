@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "detect/dect.h"
 #include "discovery/ngd_generator.h"
@@ -236,6 +238,44 @@ TEST_F(SnapshotTest, WantSnapshotCostModel) {
   g_.Rollback();
 }
 
+// kAuto is the seed-volume rule alone: violation density does not veto the
+// build. Every node of this ring is a seed of all 8 rules (seed volume
+// 8|V|) and every seed expands into 6 violations, so a graph where
+// emission dominates still takes the snapshot — and the snapshot engine
+// reports exactly the live engine's violations.
+TEST(SnapshotCostModelTest, ViolationDenseBigSweepTakesSnapshot) {
+  SchemaPtr schema = Schema::Create();
+  Graph g(schema);
+  constexpr int kNodes = 60;
+  constexpr int kFanout = 6;
+  for (int i = 0; i < kNodes; ++i) {
+    g.SetAttr(g.AddNode("reading"), "val", Value(int64_t{i}));
+  }
+  for (int i = 0; i < kNodes; ++i) {
+    for (int k = 1; k <= kFanout; ++k) {
+      ASSERT_TRUE(g.AddEdge(static_cast<NodeId>(i),
+                            static_cast<NodeId>((i + k) % kNodes), "near")
+                      .ok());
+    }
+  }
+  std::string text;
+  for (int r = 0; r < 8; ++r) {
+    text += "ngd same" + std::to_string(r) +
+            " { match (x:reading)-[near]->(y:reading) then x.val = y.val }\n";
+  }
+  const NgdSet sigma = testing_util::MustParse(text, schema);
+  ASSERT_EQ(sigma.size(), 8u);
+
+  EXPECT_TRUE(WantSnapshot(g, sigma));
+  EXPECT_TRUE(ResolveSnapshot(g, sigma, SnapshotMode::kAuto));
+  DectOptions live_opts;
+  live_opts.snapshot_mode = SnapshotMode::kNever;
+  const std::vector<Violation> live = Dect(g, sigma, live_opts).Sorted();
+  const std::vector<Violation> automatic = Dect(g, sigma).Sorted();
+  EXPECT_EQ(live.size(), 8u * kNodes * kFanout);
+  EXPECT_EQ(automatic, live);
+}
+
 // ---- Equivalence property: snapshot Dect == live Dect ----------------------
 
 struct EquivCase {
@@ -274,8 +314,8 @@ TEST_P(SnapshotEquivalenceTest, DectAgreesOnBothViews) {
   ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok());
 
   for (GraphView view : {GraphView::kOld, GraphView::kNew}) {
-    DectOptions live_opts{view, 0, SnapshotMode::kNever};
-    DectOptions snap_opts{view, 0, SnapshotMode::kAlways};
+    DectOptions live_opts{{}, view, 0, SnapshotMode::kNever};
+    DectOptions snap_opts{{}, view, 0, SnapshotMode::kAlways};
     VioSet live = Dect(*g, sigma, live_opts);
     VioSet snap = Dect(*g, sigma, snap_opts);
     ASSERT_EQ(live.size(), snap.size())
@@ -318,8 +358,8 @@ TEST(SnapshotFixtureTest, PaperRulesAgreeLiveVsSnapshot) {
   NgdSet rules = testing_util::MustParse(testing_util::kPhi4, g4.schema);
   ASSERT_EQ(rules.size(), 1u);
 
-  DectOptions live_opts{GraphView::kNew, 0, SnapshotMode::kNever};
-  DectOptions snap_opts{GraphView::kNew, 0, SnapshotMode::kAlways};
+  DectOptions live_opts{{}, GraphView::kNew, 0, SnapshotMode::kNever};
+  DectOptions snap_opts{{}, GraphView::kNew, 0, SnapshotMode::kAlways};
   VioSet live = Dect(*g4.graph, rules, live_opts);
   VioSet snap = Dect(*g4.graph, rules, snap_opts);
   EXPECT_EQ(live.size(), 1u);  // the Example 3 violation

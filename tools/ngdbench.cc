@@ -835,7 +835,6 @@ struct ScalePoint {
   uint64_t pinc_work_units = 0;
   uint64_t pinc_splits = 0;
   uint64_t pinc_balance_moves = 0;
-  uint64_t pinc_steals = 0;
 };
 
 struct ScaleSeries {
@@ -933,8 +932,6 @@ bool RunProcessorScaling(const Options& opts, ScaleSeries* out) {
     pt.pinc_s = TimeMin(opts.repetitions, [&]() {
       PIncDectOptions po = LivePIncOptions(pt.processors);
       po.runtime = &runtimes[i];
-      po.enable_steal = true;
-      po.balance_interval_ms = 5;
       auto d = PIncDect(*graph, sigma, batch, po);
       if (!d.ok()) std::abort();
       r = *std::move(d);
@@ -949,7 +946,6 @@ bool RunProcessorScaling(const Options& opts, ScaleSeries* out) {
     pt.pinc_work_units = r.work_units;
     pt.pinc_splits = r.splits;
     pt.pinc_balance_moves = r.balance_moves;
-    pt.pinc_steals = r.steals;
   }
   graph->Rollback();
   return true;
@@ -1501,8 +1497,7 @@ int Run(const Options& opts) {
     js << "          \"replicated_nodes\": " << pt.pinc_replicated << ",\n";
     js << "          \"work_units\": " << pt.pinc_work_units << ",\n";
     js << "          \"splits\": " << pt.pinc_splits << ",\n";
-    js << "          \"balance_moves\": " << pt.pinc_balance_moves << ",\n";
-    js << "          \"steals\": " << pt.pinc_steals << "\n";
+    js << "          \"balance_moves\": " << pt.pinc_balance_moves << "\n";
     js << "        }\n";
     js << "      }" << (i + 1 < scaling.points.size() ? "," : "") << "\n";
   }

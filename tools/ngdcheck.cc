@@ -538,25 +538,23 @@ int Run(const Options& opts) {
   DetectRunInfo run_info;
   WallTimer timer;
   if (opts.mode == "batch") {
-    // A loaded (or just-saved) kNew snapshot IS the batch search
-    // backend — no rebuild.
-    const GraphSnapshot* prebuilt =
-        loaded_snapshot != nullptr &&
-                loaded_snapshot->view() == GraphView::kNew
-            ? loaded_snapshot.get()
-            : built_snapshot.get();
     VioSet vio;
     if (opts.parallel > 0) {
+      // PDect fragments the (materialized) graph itself.
       PDectOptions popts;
       popts.num_processors = opts.parallel;
-      popts.snapshot = prebuilt;
       popts.deadline = deadline;
       popts.run_info = &run_info;
       vio = PDect(g, *sigma, popts).vio;
     } else {
+      // A loaded (or just-saved) kNew snapshot IS the batch search
+      // backend — no rebuild.
       DectOptions dopts;
       dopts.max_violations_per_ngd = opts.max_violations;
-      dopts.snapshot = prebuilt;
+      dopts.snapshot = loaded_snapshot != nullptr &&
+                               loaded_snapshot->view() == GraphView::kNew
+                           ? loaded_snapshot.get()
+                           : built_snapshot.get();
       dopts.deadline = deadline;
       dopts.run_info = &run_info;
       vio = Dect(g, *sigma, dopts);
