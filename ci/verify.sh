@@ -3,6 +3,7 @@
 # configurations CI cares about:
 #   1. Release (-DNDEBUG): the guards that must survive assert() removal.
 #   2. Debug + ASan/UBSan: memory and signed-overflow regressions.
+# then run the benchmark harness's self-test (perfbench/selftest.py).
 #
 # Usage: ci/verify.sh [build-dir-prefix]
 set -euo pipefail
@@ -37,5 +38,10 @@ echo "==== ngdlint ===="
   run_config asan -DCMAKE_BUILD_TYPE=Debug -DNGD_SANITIZE=ON \
     -DNGD_BUILD_BENCHMARKS=OFF
 )
+
+# The benchmark's own test (every workload at --small size, each output
+# check broken on purpose must be caught), as CI's perfbench-selftest job.
+echo "==== perfbench selftest ===="
+python3 perfbench/selftest.py
 
 echo "==== tier-1 verification passed ===="

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <sstream>
 
 namespace ngd {
@@ -52,15 +53,27 @@ Status Graph::AddEdge(NodeId src, NodeId dst, LabelId label) {
   if (src >= nodes_.size() || dst >= nodes_.size()) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
-  EdgeKey key{src, dst, label};
-  if (edge_index_.count(key) > 0) {
+  if (!edge_index_.try_emplace(EdgeKey{src, dst, label}, EdgeState::kBase)
+           .second) {
     return Status::AlreadyExists("edge already exists");
   }
-  edge_index_.emplace(key, EdgeState::kBase);
   out_[src].push_back({dst, label, EdgeState::kBase});
   in_[dst].push_back({src, label, EdgeState::kBase});
   ++num_base_edges_;
   return Status::OK();
+}
+
+void Graph::ReserveEdges(const std::vector<uint32_t>& out_degree,
+                         const std::vector<uint32_t>& in_degree) {
+  size_t added = 0;
+  for (NodeId v = 0; v < out_degree.size(); ++v) {
+    out_[v].reserve(out_[v].size() + out_degree[v]);
+    added += out_degree[v];
+  }
+  for (NodeId v = 0; v < in_degree.size(); ++v) {
+    in_[v].reserve(in_[v].size() + in_degree[v]);
+  }
+  edge_index_.reserve(edge_index_.size() + added);
 }
 
 Status Graph::AddEdge(NodeId src, NodeId dst, std::string_view label_name) {
@@ -87,6 +100,7 @@ Status Graph::InsertEdge(NodeId src, NodeId dst, LabelId label) {
     return Status::AlreadyExists("edge already exists in current view");
   }
   edge_index_.emplace(key, EdgeState::kInserted);
+  pending_keys_.push_back(key);
   out_[src].push_back({dst, label, EdgeState::kInserted});
   in_[dst].push_back({src, label, EdgeState::kInserted});
   ++num_inserted_edges_;
@@ -109,6 +123,7 @@ Status Graph::DeleteEdge(NodeId src, NodeId dst, LabelId label) {
     return Status::OK();
   }
   it->second = EdgeState::kDeleted;
+  pending_keys_.push_back(key);
   SetEdgeState(src, dst, label, EdgeState::kDeleted);
   --num_base_edges_;
   ++num_deleted_edges_;
@@ -136,8 +151,7 @@ void Graph::RemoveAdjEntries(NodeId src, NodeId dst, LabelId label) {
   auto erase_one = [](std::vector<AdjEntry>& v, NodeId other, LabelId l) {
     for (size_t i = 0; i < v.size(); ++i) {
       if (v[i].other == other && v[i].label == l) {
-        v[i] = v.back();
-        v.pop_back();
+        v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
         return;
       }
     }
@@ -146,46 +160,58 @@ void Graph::RemoveAdjEntries(NodeId src, NodeId dst, LabelId label) {
   erase_one(in_[dst], src, label);
 }
 
-void Graph::Commit() {
-  if (pending_updates_ == 0) return;
-  for (auto it = edge_index_.begin(); it != edge_index_.end();) {
-    if (it->second == EdgeState::kDeleted) {
-      RemoveAdjEntries(it->first.src, it->first.dst, it->first.label);
-      it = edge_index_.erase(it);
+void Graph::FoldOverlay(EdgeState drop) {
+  std::vector<NodeId> srcs;
+  std::vector<NodeId> dsts;
+  srcs.reserve(pending_keys_.size());
+  dsts.reserve(pending_keys_.size());
+  for (const EdgeKey& key : pending_keys_) {
+    auto it = edge_index_.find(key);
+    // A later op may have cancelled this one (insert -> delete erased the
+    // key, delete -> reinsert rebased it), and a key recorded twice is
+    // already folded the second time round.
+    if (it == edge_index_.end() || it->second == EdgeState::kBase) continue;
+    if (it->second == drop) {
+      edge_index_.erase(it);
     } else {
-      if (it->second == EdgeState::kInserted) {
-        SetEdgeState(it->first.src, it->first.dst, it->first.label,
-                     EdgeState::kBase);
-        it->second = EdgeState::kBase;
-      }
-      ++it;
+      it->second = EdgeState::kBase;
     }
+    srcs.push_back(key.src);
+    dsts.push_back(key.dst);
   }
-  num_base_edges_ += num_inserted_edges_;
+  pending_keys_.clear();
+
+  // One stable compaction per touched adjacency list, however many of its
+  // edges were pending.
+  auto sweep = [drop](std::vector<NodeId>& nodes,
+                      std::vector<std::vector<AdjEntry>>& adj) {
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    for (NodeId v : nodes) {
+      std::vector<AdjEntry>& list = adj[v];
+      list.erase(std::remove_if(list.begin(), list.end(),
+                                [drop](const AdjEntry& e) {
+                                  return e.state == drop;
+                                }),
+                 list.end());
+      for (AdjEntry& e : list) e.state = EdgeState::kBase;
+    }
+  };
+  sweep(srcs, out_);
+  sweep(dsts, in_);
   num_inserted_edges_ = 0;
   num_deleted_edges_ = 0;
   pending_updates_ = 0;
 }
 
+void Graph::Commit() {
+  num_base_edges_ += num_inserted_edges_;
+  FoldOverlay(EdgeState::kDeleted);
+}
+
 void Graph::Rollback() {
-  if (pending_updates_ == 0) return;
-  for (auto it = edge_index_.begin(); it != edge_index_.end();) {
-    if (it->second == EdgeState::kInserted) {
-      RemoveAdjEntries(it->first.src, it->first.dst, it->first.label);
-      it = edge_index_.erase(it);
-    } else {
-      if (it->second == EdgeState::kDeleted) {
-        SetEdgeState(it->first.src, it->first.dst, it->first.label,
-                     EdgeState::kBase);
-        it->second = EdgeState::kBase;
-      }
-      ++it;
-    }
-  }
   num_base_edges_ += num_deleted_edges_;
-  num_inserted_edges_ = 0;
-  num_deleted_edges_ = 0;
-  pending_updates_ = 0;
+  FoldOverlay(EdgeState::kInserted);
 }
 
 size_t Graph::NumEdges(GraphView view) const {

@@ -13,6 +13,22 @@
 //   kDeleted   only in kOld (delete(v,v') ∈ ΔG-)
 // Commit() folds the overlay after ΔVio has been computed; Rollback()
 // discards the pending update instead.
+//
+// Cost: the graph records the key of every edge that InsertEdge/DeleteEdge
+// puts into a pending state, so Commit() and Rollback() walk only those
+// keys and then sweep each touched endpoint's adjacency list once:
+// O(|ΔG| log |ΔG| + total degree of the touched endpoints), independent
+// of |E|. DeleteEdge, and an InsertEdge that cancels a pending delete,
+// still scan the endpoint lists (O(degree) each).
+//
+// Adjacency order is unspecified; callers that need an order sort (as
+// GraphSnapshot does). A fold is stable: the surviving entries of a list
+// keep their relative order, so a list reads as insertion order minus the
+// dropped entries.
+//
+// Bulk builders that know every node's degree up front (snapshot
+// materialization, TSV ingest) call ReserveEdges() once before AddEdge(),
+// so neither the edge index nor the adjacency lists regrow edge by edge.
 
 #ifndef NGD_GRAPH_GRAPH_H_
 #define NGD_GRAPH_GRAPH_H_
@@ -107,6 +123,13 @@ class Graph {
   Status AddEdge(NodeId src, NodeId dst, LabelId label);
   Status AddEdge(NodeId src, NodeId dst, std::string_view label_name);
 
+  /// Sizes the edge index and adjacency lists for `out_degree[v]` more
+  /// outgoing and `in_degree[v]` more incoming edges at each node v, ahead
+  /// of a run of AddEdge() calls. Both vectors are indexed by NodeId and
+  /// hold at most NumNodes() entries. Only capacity changes.
+  void ReserveEdges(const std::vector<uint32_t>& out_degree,
+                    const std::vector<uint32_t>& in_degree);
+
   // ---- Batch-update overlay (ΔG) ------------------------------------------
 
   /// Records insert(src, dst, label) ∈ ΔG+. The edge becomes visible in
@@ -119,9 +142,11 @@ class Graph {
   Status DeleteEdge(NodeId src, NodeId dst, LabelId label);
 
   /// Folds the overlay: inserted edges become base, deleted edges vanish.
+  /// Costs O(|ΔG| log |ΔG| + degree of the touched endpoints), not O(|E|).
   void Commit();
 
   /// Discards the overlay: inserted edges vanish, deleted edges revert.
+  /// Same cost as Commit().
   void Rollback();
 
   /// True if any kInserted/kDeleted edge is pending.
@@ -174,6 +199,9 @@ class Graph {
     std::vector<std::pair<AttrId, Value>> attrs;  // sorted by AttrId
   };
 
+  /// Shared body of Commit/Rollback: edges in state `drop` vanish, edges in
+  /// the other pending state become kBase; clears the overlay.
+  void FoldOverlay(EdgeState drop);
   void SetEdgeState(NodeId src, NodeId dst, LabelId label, EdgeState state);
   void RemoveAdjEntries(NodeId src, NodeId dst, LabelId label);
 
@@ -182,6 +210,9 @@ class Graph {
   std::vector<std::vector<AdjEntry>> out_;
   std::vector<std::vector<AdjEntry>> in_;
   std::unordered_map<EdgeKey, EdgeState, EdgeKeyHash> edge_index_;
+  // Keys InsertEdge/DeleteEdge made pending since the last fold, in op
+  // order; may repeat a key or name one a later op cancelled.
+  std::vector<EdgeKey> pending_keys_;
   std::vector<std::vector<NodeId>> label_index_;  // label -> node ids
   size_t num_base_edges_ = 0;
   size_t num_inserted_edges_ = 0;

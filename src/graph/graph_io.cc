@@ -423,6 +423,20 @@ StatusOr<std::unique_ptr<Graph>> ParseGraphText(std::string_view text,
     }
   }
   const int64_t num_nodes = static_cast<int64_t>(g->NumNodes());
+  // Size the edge index and adjacency lists once; out-of-range endpoints
+  // are skipped here and reported by the loop below.
+  std::vector<uint32_t> out_degree(g->NumNodes());
+  std::vector<uint32_t> in_degree(g->NumNodes());
+  for (const Shard& shard : shards) {
+    for (const ParsedEdge& e : shard.edges) {
+      if (e.src < 0 || e.dst < 0 || e.src >= num_nodes || e.dst >= num_nodes) {
+        continue;
+      }
+      ++out_degree[static_cast<size_t>(e.src)];
+      ++in_degree[static_cast<size_t>(e.dst)];
+    }
+  }
+  g->ReserveEdges(out_degree, in_degree);
   line_base = 0;
   for (size_t s = 0; s < shards.size(); ++s) {
     for (const ParsedEdge& e : shards[s].edges) {

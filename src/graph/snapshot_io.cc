@@ -602,6 +602,13 @@ StatusOr<std::unique_ptr<Graph>> SnapshotCodec::Materialize(
       g->SetAttr(v, snap.attrs_[i].first, snap.attrs_[i].second);
     }
   }
+  std::vector<uint32_t> out_degree(n);
+  std::vector<uint32_t> in_degree(n);
+  for (NodeId v = 0; v < n; ++v) {
+    out_degree[v] = static_cast<uint32_t>(snap.OutDegree(v));
+    in_degree[v] = static_cast<uint32_t>(snap.InDegree(v));
+  }
+  g->ReserveEdges(out_degree, in_degree);
   for (NodeId v = 0; v < n; ++v) {
     for (uint32_t gi = snap.out_.group_off[v]; gi < snap.out_.group_off[v + 1];
          ++gi) {

@@ -5,13 +5,21 @@
 // against a trivially-correct reference model: two plain edge sets (old
 // view, new view) updated by the same random operation sequence. After
 // every operation and after Commit/Rollback the views must agree exactly.
+// A second fuzz checks the fold itself against snapshot fingerprints taken
+// just before it, with cancelling op sequences inside one overlay.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.h"
+#include "graph/snapshot.h"
+#include "graph/snapshot_io.h"
 #include "util/rng.h"
 
 namespace ngd {
@@ -159,6 +167,164 @@ TEST(OverlayAdjacencyTest, AdjacencyMirrorsEdgeIndex) {
       }
     }
   }
+}
+
+uint64_t Fingerprint(const Graph& g, GraphView view) {
+  return SnapshotFingerprint(GraphSnapshot(g, view));
+}
+
+// A folded graph has no overlay left: every adjacency entry is kBase, no
+// list names the same (other, label) twice, and both views agree.
+void ExpectFolded(const Graph& g, const std::string& when) {
+  EXPECT_FALSE(g.HasPendingUpdate()) << when;
+  EXPECT_EQ(g.NumEdges(GraphView::kOld), g.NumEdges(GraphView::kNew)) << when;
+  EXPECT_EQ(Fingerprint(g, GraphView::kOld), Fingerprint(g, GraphView::kNew))
+      << when;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    for (const auto* list : {&g.OutEdges(v), &g.InEdges(v)}) {
+      std::set<std::pair<NodeId, LabelId>> seen;
+      for (const AdjEntry& e : *list) {
+        EXPECT_EQ(e.state, EdgeState::kBase) << when << " node " << v;
+        EXPECT_TRUE(seen.insert({e.other, e.label}).second)
+            << when << " node " << v << " lists " << e.other << " twice";
+      }
+    }
+  }
+}
+
+class FoldEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FoldEquivalenceTest, FoldMatchesPreFoldFingerprints) {
+  Rng rng(GetParam());
+  SchemaPtr schema = Schema::Create();
+  Graph g(schema);
+  constexpr int kNodes = 40;
+  for (int i = 0; i < kNodes; ++i) g.AddNode(i % 3 == 0 ? "a" : "b");
+  std::vector<LabelId> labels;
+  for (int i = 0; i < 3; ++i) {
+    labels.push_back(schema->InternLabel("e" + std::to_string(i)));
+  }
+  // Node 0 is a hub, so one fold touches its lists many times over.
+  auto random_key = [&]() {
+    NodeId s = rng.Bernoulli(0.3)
+                   ? 0
+                   : static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
+    NodeId d = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
+    if (rng.Bernoulli(0.5)) std::swap(s, d);
+    return EdgeKey{s, d, rng.PickFrom(labels)};
+  };
+  for (int i = 0; i < 150; ++i) {
+    const EdgeKey k = random_key();
+    (void)g.AddEdge(k.src, k.dst, k.label);  // duplicates fail harmlessly
+  }
+
+  for (int round = 0; round < 40; ++round) {
+    const std::string when = "round " + std::to_string(round);
+    // Round 7 cancels down to nothing: every op is undone in the overlay.
+    const bool cancel_all = round == 7;
+    const int ops = cancel_all ? 0 : static_cast<int>(rng.UniformInt(1, 30));
+    for (int i = 0; i < ops; ++i) {
+      const EdgeKey k = random_key();
+      if (rng.Bernoulli(0.5)) {
+        (void)g.InsertEdge(k.src, k.dst, k.label);
+      } else {
+        (void)g.DeleteEdge(k.src, k.dst, k.label);
+      }
+    }
+    // Cancelling sequences inside the overlay: insert -> delete -> insert
+    // on an edge absent from both views, and delete -> reinsert -> delete
+    // on a base edge; `cancel_all` stops each one a step early.
+    for (int i = 0; i < 4; ++i) {
+      const EdgeKey k = random_key();
+      const auto state = g.EdgeStateOf(k.src, k.dst, k.label);
+      if (!state.has_value()) {
+        ASSERT_TRUE(g.InsertEdge(k.src, k.dst, k.label).ok()) << when;
+        ASSERT_TRUE(g.DeleteEdge(k.src, k.dst, k.label).ok()) << when;
+        if (!cancel_all) {
+          ASSERT_TRUE(g.InsertEdge(k.src, k.dst, k.label).ok()) << when;
+        }
+      } else if (*state == EdgeState::kBase) {
+        ASSERT_TRUE(g.DeleteEdge(k.src, k.dst, k.label).ok()) << when;
+        ASSERT_TRUE(g.InsertEdge(k.src, k.dst, k.label).ok()) << when;
+        if (!cancel_all) {
+          ASSERT_TRUE(g.DeleteEdge(k.src, k.dst, k.label).ok()) << when;
+        }
+      }
+    }
+    if (cancel_all) {
+      ASSERT_FALSE(g.HasPendingUpdate()) << when;
+    }
+
+    const uint64_t old_fp = Fingerprint(g, GraphView::kOld);
+    const uint64_t new_fp = Fingerprint(g, GraphView::kNew);
+    Graph copy = g;  // copied mid-overlay
+    Graph rolled = g;
+    rolled.Rollback();
+    EXPECT_EQ(Fingerprint(rolled, GraphView::kNew), old_fp) << when;
+    ExpectFolded(rolled, when + " rollback");
+
+    const bool commit = cancel_all || rng.Bernoulli(0.7);
+    if (commit) {
+      g.Commit();
+      copy.Commit();
+    } else {
+      g.Rollback();
+      copy.Rollback();
+    }
+    EXPECT_EQ(Fingerprint(g, GraphView::kNew), commit ? new_fp : old_fp)
+        << when;
+    EXPECT_EQ(Fingerprint(copy, GraphView::kNew),
+              Fingerprint(g, GraphView::kNew))
+        << when;
+    ExpectFolded(g, when);
+    ExpectFolded(copy, when + " copy");
+    if (cancel_all) {
+      EXPECT_EQ(new_fp, old_fp) << when;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FoldEquivalenceTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// Adjacency order is unspecified, but a fold is stable: a list reads as
+// insertion order minus the dropped entries, whatever the edge index's
+// iteration order. An insert cancelled inside the overlay leaves no gap.
+TEST(OverlayAdjacencyTest, FoldKeepsInsertionOrderMinusDroppedEntries) {
+  SchemaPtr schema = Schema::Create();
+  Graph g(schema);
+  for (int i = 0; i < 10; ++i) g.AddNode("n");
+  const LabelId l = schema->InternLabel("e");
+  for (NodeId d = 1; d <= 6; ++d) ASSERT_TRUE(g.AddEdge(0, d, l).ok());
+  auto targets = [&]() {
+    std::vector<NodeId> out;
+    for (const AdjEntry& e : g.OutEdges(0)) out.push_back(e.other);
+    return out;
+  };
+
+  ASSERT_TRUE(g.DeleteEdge(0, 2, l).ok());
+  ASSERT_TRUE(g.InsertEdge(0, 8, l).ok());
+  ASSERT_TRUE(g.InsertEdge(0, 7, l).ok());
+  ASSERT_TRUE(g.DeleteEdge(0, 5, l).ok());
+  ASSERT_TRUE(g.InsertEdge(0, 9, l).ok());
+  ASSERT_TRUE(g.DeleteEdge(0, 8, l).ok());  // cancels the pending insert
+  g.Rollback();
+  EXPECT_EQ(targets(), (std::vector<NodeId>{1, 2, 3, 4, 5, 6}));
+
+  ASSERT_TRUE(g.DeleteEdge(0, 2, l).ok());
+  ASSERT_TRUE(g.InsertEdge(0, 8, l).ok());
+  ASSERT_TRUE(g.InsertEdge(0, 7, l).ok());
+  ASSERT_TRUE(g.DeleteEdge(0, 5, l).ok());
+  ASSERT_TRUE(g.InsertEdge(0, 9, l).ok());
+  ASSERT_TRUE(g.DeleteEdge(0, 8, l).ok());
+  g.Commit();
+  EXPECT_EQ(targets(), (std::vector<NodeId>{1, 3, 4, 6, 7, 9}));
+  for (NodeId d : {1u, 3u, 4u, 6u, 7u, 9u}) {
+    ASSERT_EQ(g.InEdges(d).size(), 1u);
+    EXPECT_EQ(g.InEdges(d)[0].state, EdgeState::kBase);
+  }
+  EXPECT_TRUE(g.InEdges(2).empty());
+  EXPECT_TRUE(g.InEdges(8).empty());
 }
 
 }  // namespace

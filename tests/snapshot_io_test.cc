@@ -20,13 +20,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/dect.h"
@@ -144,15 +147,49 @@ TEST(SnapshotIoTest, RoundTripRandomGraphs) {
 }
 
 TEST(SnapshotIoTest, MaterializeRebuildsTheSameSnapshot) {
-  SchemaPtr schema = Schema::Create();
-  auto g = MakeSmallGraph(schema);
-  GraphSnapshot snap(*g, GraphView::kNew);
-  auto back = MaterializeGraph(snap);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ((*back)->NumNodes(), g->NumNodes());
-  EXPECT_EQ((*back)->NumEdges(GraphView::kNew), g->NumEdges(GraphView::kNew));
-  GraphSnapshot again(**back, GraphView::kNew);
-  EXPECT_EQ(SnapshotFingerprint(again), SnapshotFingerprint(snap));
+  // A small multi-label graph, a hub-heavy generated graph (materialize
+  // sizes every adjacency list up front, so hubs are the interesting
+  // case) and a graph of isolated nodes with no edges at all.
+  std::vector<std::pair<std::string, std::unique_ptr<Graph>>> graphs;
+  graphs.emplace_back("small", MakeSmallGraph(Schema::Create()));
+  GraphGenConfig hub;
+  hub.num_nodes = 4000;
+  hub.num_edges = 12000;
+  hub.pref_attach = 0.95;
+  hub.seed = 13;
+  graphs.emplace_back("hub", GenerateGraph(hub, Schema::Create()));
+  auto isolated = std::make_unique<Graph>(Schema::Create());
+  for (int i = 0; i < 50; ++i) {
+    const NodeId v = isolated->AddNode(i % 2 == 0 ? "a" : "b");
+    isolated->SetAttr(v, "x", Value(int64_t{i}));
+  }
+  graphs.emplace_back("isolated", std::move(isolated));
+
+  for (const auto& [name, g] : graphs) {
+    GraphSnapshot snap(*g, GraphView::kNew);
+    auto back = MaterializeGraph(snap);
+    ASSERT_TRUE(back.ok()) << name << ": " << back.status().ToString();
+    ASSERT_EQ((*back)->NumNodes(), g->NumNodes()) << name;
+    EXPECT_EQ((*back)->NumEdges(GraphView::kNew),
+              g->NumEdges(GraphView::kNew))
+        << name;
+    EXPECT_FALSE((*back)->HasPendingUpdate()) << name;
+    size_t max_degree = 0;
+    for (NodeId v = 0; v < g->NumNodes(); ++v) {
+      const size_t degree = g->Degree(v, GraphView::kNew);
+      ASSERT_EQ((*back)->Degree(v, GraphView::kNew), degree)
+          << name << " node " << v;
+      ASSERT_EQ((*back)->AdjSize(v), degree) << name << " node " << v;
+      max_degree = std::max(max_degree, degree);
+    }
+    if (name == "hub") {
+      EXPECT_GE(max_degree, 100u);
+    } else if (name == "isolated") {
+      EXPECT_EQ(max_degree, 0u);
+    }
+    GraphSnapshot again(**back, GraphView::kNew);
+    EXPECT_EQ(SnapshotFingerprint(again), SnapshotFingerprint(snap)) << name;
+  }
 }
 
 TEST(SnapshotIoTest, FileRoundTripAndSniffing) {
