@@ -5,6 +5,11 @@
 #include <sstream>
 
 namespace ngd {
+namespace {
+
+constexpr size_t kMinEdgeSlots = 16;
+
+}  // namespace
 
 const std::vector<NodeId> Graph::kEmptyNodeList;
 
@@ -53,7 +58,7 @@ Status Graph::AddEdge(NodeId src, NodeId dst, LabelId label) {
   if (src >= nodes_.size() || dst >= nodes_.size()) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
-  if (!edge_index_.try_emplace(EdgeKey{src, dst, label}, EdgeState::kBase)
+  if (!edge_index_.TryEmplace(EdgeKey{src, dst, label}, EdgeState::kBase)
            .second) {
     return Status::AlreadyExists("edge already exists");
   }
@@ -73,7 +78,7 @@ void Graph::ReserveEdges(const std::vector<uint32_t>& out_degree,
   for (NodeId v = 0; v < in_degree.size(); ++v) {
     in_[v].reserve(in_[v].size() + in_degree[v]);
   }
-  edge_index_.reserve(edge_index_.size() + added);
+  edge_index_.Reserve(added);
 }
 
 Status Graph::AddEdge(NodeId src, NodeId dst, std::string_view label_name) {
@@ -85,12 +90,12 @@ Status Graph::InsertEdge(NodeId src, NodeId dst, LabelId label) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
   EdgeKey key{src, dst, label};
-  auto it = edge_index_.find(key);
-  if (it != edge_index_.end()) {
-    if (it->second == EdgeState::kDeleted) {
+  auto [state, added] = edge_index_.TryEmplace(key, EdgeState::kInserted);
+  if (!added) {
+    if (*state == EdgeState::kDeleted) {
       // Reinsert of a deleted edge: net effect is the edge stays; it is in
       // both views again. Fold to base and drop both pending ops.
-      it->second = EdgeState::kBase;
+      *state = EdgeState::kBase;
       SetEdgeState(src, dst, label, EdgeState::kBase);
       ++num_base_edges_;
       --num_deleted_edges_;
@@ -99,7 +104,6 @@ Status Graph::InsertEdge(NodeId src, NodeId dst, LabelId label) {
     }
     return Status::AlreadyExists("edge already exists in current view");
   }
-  edge_index_.emplace(key, EdgeState::kInserted);
   pending_keys_.push_back(key);
   out_[src].push_back({dst, label, EdgeState::kInserted});
   in_[dst].push_back({src, label, EdgeState::kInserted});
@@ -110,19 +114,19 @@ Status Graph::InsertEdge(NodeId src, NodeId dst, LabelId label) {
 
 Status Graph::DeleteEdge(NodeId src, NodeId dst, LabelId label) {
   EdgeKey key{src, dst, label};
-  auto it = edge_index_.find(key);
-  if (it == edge_index_.end() || it->second == EdgeState::kDeleted) {
+  EdgeState* state = edge_index_.Find(key);
+  if (state == nullptr || *state == EdgeState::kDeleted) {
     return Status::NotFound("edge not present in G ⊕ ΔG");
   }
-  if (it->second == EdgeState::kInserted) {
+  if (*state == EdgeState::kInserted) {
     // Deleting a pending insertion cancels it.
-    edge_index_.erase(it);
+    edge_index_.Erase(key);
     RemoveAdjEntries(src, dst, label);
     --num_inserted_edges_;
     --pending_updates_;
     return Status::OK();
   }
-  it->second = EdgeState::kDeleted;
+  *state = EdgeState::kDeleted;
   pending_keys_.push_back(key);
   SetEdgeState(src, dst, label, EdgeState::kDeleted);
   --num_base_edges_;
@@ -166,15 +170,15 @@ void Graph::FoldOverlay(EdgeState drop) {
   srcs.reserve(pending_keys_.size());
   dsts.reserve(pending_keys_.size());
   for (const EdgeKey& key : pending_keys_) {
-    auto it = edge_index_.find(key);
+    EdgeState* state = edge_index_.Find(key);
     // A later op may have cancelled this one (insert -> delete erased the
     // key, delete -> reinsert rebased it), and a key recorded twice is
     // already folded the second time round.
-    if (it == edge_index_.end() || it->second == EdgeState::kBase) continue;
-    if (it->second == drop) {
-      edge_index_.erase(it);
+    if (state == nullptr || *state == EdgeState::kBase) continue;
+    if (*state == drop) {
+      edge_index_.Erase(key);
     } else {
-      it->second = EdgeState::kBase;
+      *state = EdgeState::kBase;
     }
     srcs.push_back(key.src);
     dsts.push_back(key.dst);
@@ -221,16 +225,15 @@ size_t Graph::NumEdges(GraphView view) const {
 
 bool Graph::HasEdge(NodeId src, NodeId dst, LabelId label,
                     GraphView view) const {
-  auto it = edge_index_.find(EdgeKey{src, dst, label});
-  if (it == edge_index_.end()) return false;
-  return EdgeInView(it->second, view);
+  const EdgeState* state = edge_index_.Find(EdgeKey{src, dst, label});
+  return state != nullptr && EdgeInView(*state, view);
 }
 
 std::optional<EdgeState> Graph::EdgeStateOf(NodeId src, NodeId dst,
                                             LabelId label) const {
-  auto it = edge_index_.find(EdgeKey{src, dst, label});
-  if (it == edge_index_.end()) return std::nullopt;
-  return it->second;
+  const EdgeState* state = edge_index_.Find(EdgeKey{src, dst, label});
+  if (state == nullptr) return std::nullopt;
+  return *state;
 }
 
 size_t Graph::Degree(NodeId v, GraphView view) const {
@@ -243,6 +246,75 @@ size_t Graph::Degree(NodeId v, GraphView view) const {
 const std::vector<NodeId>& Graph::NodesWithLabel(LabelId label) const {
   if (label >= label_index_.size()) return kEmptyNodeList;
   return label_index_[label];
+}
+
+// ---- EdgeIndex --------------------------------------------------------------
+
+size_t Graph::EdgeIndex::Probe(const EdgeKey& key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = EdgeKeyHash{}(key) & mask;
+  // Terminates: load <= 1/2 leaves an empty slot in every cycle.
+  while (slots_[i].key.src != kInvalidNode && !(slots_[i].key == key)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+EdgeState* Graph::EdgeIndex::Find(const EdgeKey& key) {
+  if (slots_.empty()) return nullptr;
+  Slot& slot = slots_[Probe(key)];
+  return slot.key.src == kInvalidNode ? nullptr : &slot.state;
+}
+
+const EdgeState* Graph::EdgeIndex::Find(const EdgeKey& key) const {
+  if (slots_.empty()) return nullptr;
+  const Slot& slot = slots_[Probe(key)];
+  return slot.key.src == kInvalidNode ? nullptr : &slot.state;
+}
+
+std::pair<EdgeState*, bool> Graph::EdgeIndex::TryEmplace(const EdgeKey& key,
+                                                         EdgeState state) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    Rehash(std::max(kMinEdgeSlots, 2 * slots_.size()));
+  }
+  Slot& slot = slots_[Probe(key)];
+  if (slot.key.src != kInvalidNode) return {&slot.state, false};
+  slot = Slot{key, state};
+  ++size_;
+  return {&slot.state, true};
+}
+
+void Graph::EdgeIndex::Erase(const EdgeKey& key) {
+  const size_t mask = slots_.size() - 1;
+  size_t hole = Probe(key);
+  // Backward shift: walk the rest of the run and move into the hole every
+  // entry whose home slot does not lie cyclically in (hole, j], so each
+  // remaining key stays reachable from its home without a tombstone.
+  for (size_t j = (hole + 1) & mask; slots_[j].key.src != kInvalidNode;
+       j = (j + 1) & mask) {
+    const size_t home = EdgeKeyHash{}(slots_[j].key) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].key.src = kInvalidNode;
+  --size_;
+}
+
+void Graph::EdgeIndex::Reserve(size_t n) {
+  size_t num_slots = kMinEdgeSlots;
+  while (num_slots < 2 * (size_ + n)) num_slots *= 2;
+  if (num_slots > slots_.size()) Rehash(num_slots);
+}
+
+void Graph::EdgeIndex::Rehash(size_t num_slots) {
+  std::vector<Slot> old(num_slots,
+                        Slot{EdgeKey{kInvalidNode, 0, 0}, EdgeState::kBase});
+  old.swap(slots_);
+  for (const Slot& slot : old) {
+    if (slot.key.src != kInvalidNode) slots_[Probe(slot.key)] = slot;
+  }
 }
 
 std::string Graph::DebugString() const {

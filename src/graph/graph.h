@@ -26,6 +26,14 @@
 // keep their relative order, so a list reads as insertion order minus the
 // dropped entries.
 //
+// Edge states live in a flat open-addressing table (linear probing on
+// EdgeKeyHash, power-of-two capacity at load <= 1/2): 16 bytes a slot,
+// 32-64 bytes per edge at the edge count's high-water mark (the table
+// never shrinks), and no heap allocation per edge. Erasing an entry
+// shifts the rest of its probe run back instead of leaving a tombstone, so
+// the erase churn of Commit()/Rollback() never lengthens a probe run and
+// the table never needs a clean-up rebuild.
+//
 // Bulk builders that know every node's degree up front (snapshot
 // materialization, TSV ingest) call ReserveEdges() once before AddEdge(),
 // so neither the edge index nor the adjacency lists regrow edge by edge.
@@ -37,7 +45,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/dictionary.h"
@@ -205,11 +213,44 @@ class Graph {
   void SetEdgeState(NodeId src, NodeId dst, LabelId label, EdgeState state);
   void RemoveAdjEntries(NodeId src, NodeId dst, LabelId label);
 
+  // (src, dst, label) -> EdgeState, open addressing with linear probing.
+  // An empty slot has src == kInvalidNode, which no stored key has
+  // (AddEdge/InsertEdge reject out-of-range endpoints), so a lookup of an
+  // out-of-range key stops at the first empty slot and finds nothing.
+  class EdgeIndex {
+   public:
+    /// The state of `key`, or nullptr if absent. Valid until the next
+    /// TryEmplace/Erase/Reserve.
+    EdgeState* Find(const EdgeKey& key);
+    const EdgeState* Find(const EdgeKey& key) const;
+    /// Adds `key` in `state` unless present; returns its state slot and
+    /// whether it was added (try_emplace semantics).
+    std::pair<EdgeState*, bool> TryEmplace(const EdgeKey& key,
+                                           EdgeState state);
+    /// Removes `key`, which must be present, by backward shift.
+    void Erase(const EdgeKey& key);
+    /// Room for `n` more keys at load <= 1/2 without regrowing.
+    void Reserve(size_t n);
+
+   private:
+    struct Slot {
+      EdgeKey key;
+      EdgeState state;
+    };
+    /// The slot holding `key`, else the empty slot ending its probe run.
+    /// Requires a non-empty table.
+    size_t Probe(const EdgeKey& key) const;
+    void Rehash(size_t num_slots);
+
+    std::vector<Slot> slots_;  // empty, or a power-of-two count
+    size_t size_ = 0;
+  };
+
   SchemaPtr schema_;
   std::vector<NodeRecord> nodes_;
   std::vector<std::vector<AdjEntry>> out_;
   std::vector<std::vector<AdjEntry>> in_;
-  std::unordered_map<EdgeKey, EdgeState, EdgeKeyHash> edge_index_;
+  EdgeIndex edge_index_;
   // Keys InsertEdge/DeleteEdge made pending since the last fold, in op
   // order; may repeat a key or name one a later op cancelled.
   std::vector<EdgeKey> pending_keys_;

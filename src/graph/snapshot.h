@@ -1,11 +1,12 @@
 // Immutable CSR snapshot of one view of a Graph.
 //
 // The live Graph keeps pointer-chased vector<vector<AdjEntry>> adjacency
-// plus a global (src, dst, label) hash index — the right shape for the
-// batch-update overlay, the wrong shape for the homomorphism hot path
-// (paper §6.2): Expand scans an anchor's whole adjacency filtering by
-// label, and every closure edge costs a hash probe. A GraphSnapshot
-// flattens one view (kOld or kNew) once:
+// plus an edge-state table keyed by (src, dst, label) (open addressing,
+// see graph.h) — the right shape for the batch-update overlay, the wrong
+// shape for the homomorphism hot path (paper §6.2): Expand scans an
+// anchor's whole adjacency filtering by label, and every closure edge
+// costs a table probe. A GraphSnapshot flattens one view (kOld or kNew)
+// once:
 //
 //   - out/in neighbor ids in flat arrays, grouped per node by edge label
 //     into contiguous ranges ("label-partitioned adjacency"), sorted by

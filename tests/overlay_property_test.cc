@@ -6,11 +6,19 @@
 // view, new view) updated by the same random operation sequence. After
 // every operation and after Commit/Rollback the views must agree exactly.
 // A second fuzz checks the fold itself against snapshot fingerprints taken
-// just before it, with cancelling op sequences inside one overlay.
+// just before it, with cancelling op sequences inside one overlay. A third
+// drives the edge index through a large churn (thousands of edges, many
+// table doublings, long erase runs at every fold) against the same kind of
+// reference model.
+//
+// NGD_OVERLAY_CASES resizes the churn fuzz (sanitizer CI runs a reduced
+// one).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -325,6 +333,168 @@ TEST(OverlayAdjacencyTest, FoldKeepsInsertionOrderMinusDroppedEntries) {
   }
   EXPECT_TRUE(g.InEdges(2).empty());
   EXPECT_TRUE(g.InEdges(8).empty());
+}
+
+size_t OverlayCaseCount() {
+  const char* env = std::getenv("NGD_OVERLAY_CASES");
+  if (env != nullptr) {
+    const long n = std::strtol(env, nullptr, 10);
+    if (n > 0) return static_cast<size_t>(n);
+  }
+  return 4;
+}
+
+// The state the reference model gives an edge: kBase in both views,
+// kInserted in the new view only, kDeleted in the old view only.
+std::optional<EdgeState> ModelState(const ReferenceModel& ref,
+                                    const EdgeTuple& key) {
+  const bool in_old = ref.old_view.count(key) > 0;
+  const bool in_new = ref.new_view.count(key) > 0;
+  if (in_old && in_new) return EdgeState::kBase;
+  if (in_new) return EdgeState::kInserted;
+  if (in_old) return EdgeState::kDeleted;
+  return std::nullopt;
+}
+
+void ExpectEdgeMatchesModel(const Graph& g, const ReferenceModel& ref,
+                            const EdgeTuple& key, const std::string& when) {
+  const auto [s, d, l] = key;
+  ASSERT_EQ(g.HasEdge(s, d, l, GraphView::kOld), ref.old_view.count(key) > 0)
+      << when << " old view edge " << s << "->" << d << " label " << l;
+  ASSERT_EQ(g.HasEdge(s, d, l, GraphView::kNew), ref.new_view.count(key) > 0)
+      << when << " new view edge " << s << "->" << d << " label " << l;
+  ASSERT_EQ(g.EdgeStateOf(s, d, l), ModelState(ref, key))
+      << when << " state of " << s << "->" << d << " label " << l;
+}
+
+// Lookups with an endpoint outside [0, NumNodes()) find nothing, and
+// deleting such an edge is NotFound, however full the table is.
+void ExpectOutOfRangeAbsent(Graph& g, NodeId in_range, LabelId l,
+                            const std::string& when) {
+  const NodeId past_end = static_cast<NodeId>(g.NumNodes());
+  const std::pair<NodeId, NodeId> keys[] = {
+      {kInvalidNode, in_range}, {in_range, kInvalidNode},
+      {kInvalidNode, kInvalidNode}, {past_end, in_range},
+      {in_range, past_end}};
+  for (const auto& [s, d] : keys) {
+    EXPECT_FALSE(g.HasEdge(s, d, l, GraphView::kOld)) << when;
+    EXPECT_FALSE(g.HasEdge(s, d, l, GraphView::kNew)) << when;
+    EXPECT_EQ(g.EdgeStateOf(s, d, l), std::nullopt) << when;
+    EXPECT_EQ(g.DeleteEdge(s, d, l).code(), StatusCode::kNotFound) << when;
+  }
+}
+
+// After a fold: every model edge is kBase in both views, every key the
+// epoch touched but the model lacks is absent, and the counts agree.
+void ExpectFoldMatchesModel(const Graph& g, const ReferenceModel& ref,
+                            const std::vector<EdgeTuple>& touched,
+                            const std::string& when) {
+  ASSERT_FALSE(g.HasPendingUpdate()) << when;
+  ASSERT_EQ(g.NumEdges(GraphView::kOld), ref.old_view.size()) << when;
+  ASSERT_EQ(g.NumEdges(GraphView::kNew), ref.new_view.size()) << when;
+  for (const EdgeTuple& key : ref.new_view) {
+    ASSERT_NO_FATAL_FAILURE(ExpectEdgeMatchesModel(g, ref, key, when));
+  }
+  for (const EdgeTuple& key : touched) {
+    ASSERT_NO_FATAL_FAILURE(ExpectEdgeMatchesModel(g, ref, key, when));
+  }
+}
+
+// Large churn through the edge index: the table grows from empty through
+// many doublings, and every fold erases a few hundred keys from runs of
+// a half-full table. A mid-overlay copy replays the rest of the run and
+// must fold identically.
+TEST(EdgeIndexChurnTest, LargeChurnMatchesReferenceModel) {
+  constexpr int kNodes = 3000;
+  constexpr int kLabels = 4;
+  constexpr int kOps = 20000;
+  constexpr int kCopyAt = kOps / 2;
+  for (uint64_t seed = 1; seed <= OverlayCaseCount(); ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    SchemaPtr schema = Schema::Create();
+    Graph g(schema);
+    for (int i = 0; i < kNodes; ++i) g.AddNode(i % 2 == 0 ? "a" : "b");
+    std::vector<LabelId> labels;
+    for (int i = 0; i < kLabels; ++i) {
+      labels.push_back(schema->InternLabel("e" + std::to_string(i)));
+    }
+    ReferenceModel ref;
+    std::vector<EdgeTuple> inserted;  // delete targets; may be stale
+    std::vector<EdgeTuple> touched;   // keys of this epoch's ops
+    std::optional<Graph> copy;
+    int next_fold = static_cast<int>(rng.UniformInt(100, 600));
+
+    for (int op = 0; op < kOps; ++op) {
+      const std::string when = "op " + std::to_string(op);
+      if (!copy.has_value() && op >= kCopyAt && g.HasPendingUpdate()) {
+        copy.emplace(g);
+      }
+      EdgeTuple key;
+      const bool insert = rng.Bernoulli(0.6);
+      if (insert || inserted.empty() || rng.Bernoulli(0.3)) {
+        key = EdgeTuple{static_cast<NodeId>(rng.UniformInt(0, kNodes - 1)),
+                        static_cast<NodeId>(rng.UniformInt(0, kNodes - 1)),
+                        rng.PickFrom(labels)};
+      } else {
+        key = rng.PickFrom(inserted);
+      }
+      const auto [s, d, l] = key;
+      Status st;
+      if (insert) {
+        st = g.InsertEdge(s, d, l);
+        ASSERT_EQ(st.ok(), ref.new_view.count(key) == 0)
+            << when << " " << st.ToString();
+        if (st.ok()) {
+          ref.new_view.insert(key);
+          inserted.push_back(key);
+        }
+      } else {
+        st = g.DeleteEdge(s, d, l);
+        ASSERT_EQ(st.ok(), ref.new_view.count(key) > 0)
+            << when << " " << st.ToString();
+        if (st.ok()) ref.new_view.erase(key);
+      }
+      if (copy.has_value()) {
+        const Status copy_st =
+            insert ? copy->InsertEdge(s, d, l) : copy->DeleteEdge(s, d, l);
+        ASSERT_EQ(copy_st.code(), st.code()) << when << " copy";
+      }
+      touched.push_back(key);
+      ASSERT_NO_FATAL_FAILURE(ExpectEdgeMatchesModel(g, ref, key, when));
+
+      if (op + 1 < next_fold && op + 1 < kOps) continue;
+      next_fold = op + 1 + static_cast<int>(rng.UniformInt(100, 600));
+      const bool commit = rng.Bernoulli(0.75);
+      if (commit) {
+        g.Commit();
+        ref.old_view = ref.new_view;
+      } else {
+        g.Rollback();
+        ref.new_view = ref.old_view;
+      }
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectFoldMatchesModel(g, ref, touched, when + " fold"));
+      ExpectOutOfRangeAbsent(g, d, l, when + " fold");
+      if (copy.has_value()) {
+        if (commit) {
+          copy->Commit();
+        } else {
+          copy->Rollback();
+        }
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectFoldMatchesModel(*copy, ref, touched, when + " copy fold"));
+        ASSERT_EQ(Fingerprint(*copy, GraphView::kNew),
+                  Fingerprint(g, GraphView::kNew))
+            << when;
+      }
+      touched.clear();
+    }
+    EXPECT_TRUE(copy.has_value());
+    // Growth from an empty table to this many edges doubles the table
+    // far more than three times.
+    EXPECT_GT(g.NumEdges(GraphView::kNew), 2000u);
+  }
 }
 
 }  // namespace
