@@ -33,9 +33,9 @@ echo "==== ngdlint ===="
 # Reduced randomized sweeps under the sanitizers, matching the CI job
 # (full sweeps run in the release configuration above).
 (
-  export NGD_DIFF_CASES=150 NGD_SIGMA_CASES=120 NGD_RECOVERY_CASES=3 \
-    NGD_VIO_CASES=40 NGD_SPILL_CASES=6 NGD_SPILL_HEAVY=0 \
-    NGD_OVERLAY_CASES=1
+  export NGD_DIFF_CASES=150 NGD_SIGMA_CASES=120 NGD_IO_CASES=8 \
+    NGD_RECOVERY_CASES=3 NGD_VIO_CASES=40 NGD_SPILL_CASES=6 \
+    NGD_SPILL_HEAVY=0 NGD_OVERLAY_CASES=1
   run_config asan -DCMAKE_BUILD_TYPE=Debug -DNGD_SANITIZE=ON \
     -DNGD_BUILD_BENCHMARKS=OFF
 )

@@ -19,8 +19,11 @@
 // The overlay state is resolved at build time, so a snapshot serves
 // exactly one GraphView and stays valid until the source graph mutates.
 // Dect / FindAnyViolation / PDect build one snapshot per call and
-// amortize it across every rule in Σ; incremental detection keeps using
-// the live overlay graph (its searches are update-local).
+// amortize it across every rule in Σ. IncDect / PIncDect match a
+// DeltaView (graph/delta_view.h): a snapshot of the base graph G —
+// caller-kept per commit epoch, or built per call when the kAuto cost
+// model says the pivot searches amortize it — with ΔG layered on top;
+// the live overlay graph remains their kNever backend and oracle.
 
 #ifndef NGD_GRAPH_SNAPSHOT_H_
 #define NGD_GRAPH_SNAPSHOT_H_

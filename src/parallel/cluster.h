@@ -19,8 +19,10 @@
 //
 // PDect runs fragment-native on a FragmentRuntime + WorkStealingPool;
 // PIncDect uses the pool with fragment ownership for pivot placement and
-// the paper's skew balancer layered on top (its candidate neighborhood
-// N_C is replicated at every processor, so its units run anywhere).
+// the paper's skew balancer layered on top. Its candidate neighborhood
+// N_C is simulated as replicated at every processor — all workers read
+// the one shared graph, each unit scoped by its rule's affected-area
+// ball (detect/inc_dect.h) — so its units run anywhere.
 
 #ifndef NGD_PARALLEL_CLUSTER_H_
 #define NGD_PARALLEL_CLUSTER_H_

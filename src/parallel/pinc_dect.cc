@@ -26,7 +26,6 @@ class PIncDectEngine {
         opts_(opts),
         p_(std::max(1, opts.num_processors)),
         index_(g, batch),
-        nc_(0),
         pool_(p_, &metrics_, /*enable_steal=*/false, opts.max_queue_depth),
         local_added_(p_),
         local_removed_(p_) {
@@ -66,12 +65,11 @@ class PIncDectEngine {
     // whose d_Q-ball cannot supply every pattern-node label spawn no
     // work units at all).
     std::vector<PivotTask> tasks = EnumeratePivotTasks(g_, sigma_, index_);
-    std::optional<AffectedArea> area;
     if (opts_.affected_area_prefilter) {
-      area.emplace(g_, sigma_, index_);
+      area_.emplace(g_, sigma_, index_);
       tasks.erase(std::remove_if(tasks.begin(), tasks.end(),
                                  [&](const PivotTask& t) {
-                                   return !area->RuleCanMatch(t.ngd_index);
+                                   return !area_->RuleCanMatch(t.ngd_index);
                                  }),
                   tasks.end());
     }
@@ -94,20 +92,18 @@ class PIncDectEngine {
       acc_new_ = GraphAccessor(g_, GraphView::kNew);
     }
 
-    // Step 2: candidate neighborhood N_C(ΔG, Σ) = union of d_Σ-balls
-    // around update endpoints, over the union of both views (safe for
-    // ΔVio+ and ΔVio- searches alike), replicated at all processors.
-    std::vector<NodeId> seeds;
-    for (const auto& u : index_.updates()) {
-      seeds.push_back(u.edge.src);
-      seeds.push_back(u.edge.dst);
+    // Step 2: candidate neighborhood N_C(ΔG, Σ), replicated at all
+    // processors. A unit is scoped as IncDect scopes a pivot task: by its
+    // rule's affected-area ball, unscoped when that ball saturated or the
+    // prefilter is off. |N_C| is the largest scope (|V| if any unscoped).
+    size_t nc_size = area_.has_value() ? 0 : g_.NumNodes();
+    for (size_t r = 0; area_.has_value() && r < sigma_.size(); ++r) {
+      const NodeSet* scope = area_->ScopeOf(static_cast<int>(r));
+      nc_size = scope == nullptr ? g_.NumNodes()
+                                 : std::max(nc_size, scope->size());
     }
-    const int d_sigma = sigma_.MaxDiameter();
-    NodeSet ball_old = DHopNeighborhood(g_, seeds, d_sigma, GraphView::kOld);
-    nc_ = DHopNeighborhood(g_, seeds, d_sigma, GraphView::kNew);
-    for (NodeId v : ball_old.members()) nc_.Add(v);
     metrics_.replicated_nodes +=
-        static_cast<uint64_t>(nc_.size()) * (p_ > 1 ? p_ - 1 : 0);
+        static_cast<uint64_t>(nc_size) * (p_ > 1 ? p_ - 1 : 0);
     metrics_.messages += p_ > 1 ? p_ : 0;  // one broadcast round
 
     // Plans per (NGD, pattern edge).
@@ -205,7 +201,7 @@ class PIncDectEngine {
       }
       finished_.clear();
     }
-    result.candidate_neighborhood_nodes = nc_.size();
+    result.candidate_neighborhood_nodes = nc_size;
     result.messages = metrics_.messages.load();
     result.replicated_nodes = metrics_.replicated_nodes.load();
     result.work_units = metrics_.work_units.load();
@@ -317,7 +313,6 @@ class PIncDectEngine {
     for (int s : plan.seeds) {
       const NodeId v = unit.binding[s];
       if (!acc.NodeMatchesLabel(v, pattern.node(s).label)) return false;
-      if (!nc_.Contains(v)) return false;
     }
     for (int ce : plan.seed_check_edges) {
       const PatternEdge& pe = pattern.edge(ce);
@@ -382,13 +377,15 @@ class PIncDectEngine {
     }
 
     const LabelId want_label = pattern.node(step.node).label;
+    const NodeSet* scope =
+        area_.has_value() ? area_->ScopeOf(unit.ngd_index) : nullptr;
     acc.ForEachNeighborSlice(
         anchor, step.anchor_out, anchor_edge.label, begin, end,
         [&](NodeId cand) {
           // Bounded response even on a hub anchor's long adjacency scan.
           if (check != nullptr && check->ShouldStop()) return false;
           if (!acc.NodeMatchesLabel(cand, want_label)) return true;
-          if (!nc_.Contains(cand)) return true;
+          if (scope != nullptr && !scope->Contains(cand)) return true;
           {
             const NodeId src = step.anchor_out ? anchor : cand;
             const NodeId dst = step.anchor_out ? cand : anchor;
@@ -508,7 +505,8 @@ class PIncDectEngine {
   std::optional<DeltaView> dv_;
   GraphAccessor acc_old_;
   GraphAccessor acc_new_;
-  NodeSet nc_;
+  /// Per-rule work-unit scopes (absent when the prefilter is off).
+  std::optional<AffectedArea> area_;
   std::unordered_map<int64_t, MatchPlan> plans_;
   WorkStealingPool<PWorkUnit> pool_;
   /// Worker-local delta halves: slot i is thread-confined to worker i

@@ -3,9 +3,13 @@
 //
 // Pipeline (mirroring Fig. 3):
 //   1. Enumerate update pivots (same PivotTask machinery as IncDect).
-//   2. Extract the candidate neighborhood N_C(ΔG, Σ) — the union of
-//      d_Σ-balls around pivot endpoints — and "replicate" it at all p
-//      processors (simulated; replication volume is metered).
+//   2. Scope each work unit by the candidate neighborhood N_C(ΔG, Σ),
+//      exactly as IncDect scopes a pivot task: a rule's units only bind
+//      nodes inside its AffectedArea ball (the d_Q-ball around ΔG's
+//      endpoints over both views), and run unscoped when that ball
+//      saturated its budget or the prefilter is off. N_C is "replicated"
+//      at all p processors (simulated: no ball is copied; the volume —
+//      the largest rule ball, |V| once any saturates — is metered).
 //   3. Partition the initial pivots evenly into per-processor workloads
 //      BVio_i. Adjacency lists are logically partitioned: a split work
 //      unit carries the slice [begin, end) of the anchor's adjacency that
@@ -14,9 +18,11 @@
 //      the HYBRID cost model — expand locally when
 //          |adj| <= C·(k+1) + |adj|/p
 //      and otherwise broadcast p slice units (work-unit splitting).
-//      Verification of the remaining pattern edges is O(1) per edge here
-//      (hash edge index), so it is never worth splitting — a documented
-//      deviation from the paper, whose verification scans adjacency lists.
+//      Verification of the remaining pattern edges is a point lookup here
+//      (the live graph's hash edge index, or a binary search of the base
+//      CSR's sorted label range on the DeltaView backend), so it is never
+//      worth splitting — a documented deviation from the paper, whose
+//      verification scans adjacency lists.
 //   5. A balancer thread wakes every `intvl` ms, computes the skewness
 //      ||BVio_i|| / avg ||BVio_t||, and moves work from processors above
 //      η (= 3) to processors below η' (= 0.7).
@@ -33,14 +39,14 @@
 
 namespace ngd {
 
-/// Run controls (RunControl): minimization enumerates pivots, extracts
-/// N_C and partitions workloads over the kept rules only; a tripped token
-/// or expired deadline stops the workers and drains the queues (a rule is
-/// complete only when every one of its pivot work units, including splits
-/// and spawned children, finished); worker-local ΔVio sets spill under
-/// "<path_prefix>.add.w<i>" / "<path_prefix>.rem.w<i>" with budget_bytes/p
-/// each, and the merged delta keeps spilling under "<path_prefix>.add" /
-/// "<path_prefix>.rem".
+/// Run controls (RunControl): minimization enumerates pivots, builds the
+/// per-rule scopes and partitions workloads over the kept rules only; a
+/// tripped token or expired deadline stops the workers and drains the
+/// queues (a rule is complete only when every one of its pivot work
+/// units, including splits and spawned children, finished); worker-local
+/// ΔVio sets spill under "<path_prefix>.add.w<i>" / "<path_prefix>.rem.w<i>"
+/// with budget_bytes/p each, and the merged delta keeps spilling under
+/// "<path_prefix>.add" / "<path_prefix>.rem".
 struct PIncDectOptions : RunControl {
   int num_processors = 4;
   /// Backend selection, exactly as IncDectOptions: kNever = live overlay
@@ -51,8 +57,8 @@ struct PIncDectOptions : RunControl {
   /// shared read-only by all simulated processors and reused across
   /// batches by callers that maintain one per commit epoch.
   const GraphSnapshot* base_snapshot = nullptr;
-  /// AffectedArea prefilter: skip every pivot task of a rule whose
-  /// d_Q-ball around ΔG lacks candidates for some pattern-node label.
+  /// AffectedArea prefilter + per-rule work-unit scope, as
+  /// IncDectOptions. Off: every unit runs unscoped (|N_C| = |V|).
   bool affected_area_prefilter = true;
   /// Communication-latency constant C of the cost model (paper fixes 60).
   double latency_c = 60.0;
@@ -67,8 +73,9 @@ struct PIncDectOptions : RunControl {
   /// Optional fragment runtime (parallel/cluster.h): when set and built
   /// with num_fragments == num_processors, each pivot's initial work unit
   /// is placed on the processor owning the pivot's source node —
-  /// fragment-affine placement instead of round-robin. N_C stays
-  /// replicated everywhere, so any processor can still run any unit.
+  /// fragment-affine placement instead of round-robin. Placement only
+  /// picks a start queue: every processor reads the whole shared graph
+  /// (N_C is simulated as replicated), so any processor can run any unit.
   const FragmentRuntime* runtime = nullptr;
   /// Producer backpressure (see PDectOptions::max_queue_depth): mid-run
   /// split broadcasts and child spawns targeting a queue at or past this
@@ -82,6 +89,8 @@ struct PIncDectResult {
   /// True iff the run was cut short and some rule's ΔVio is incomplete.
   bool truncated = false;
   double elapsed_seconds = 0.0;
+  /// |N_C|: the largest rule's affected-area ball, or |V| when some rule
+  /// runs unscoped. replicated_nodes = |N_C| · (p − 1).
   size_t candidate_neighborhood_nodes = 0;
   uint64_t messages = 0;
   uint64_t replicated_nodes = 0;
