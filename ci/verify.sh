@@ -36,8 +36,7 @@ echo "==== ngdlint ===="
   export NGD_DIFF_CASES=150 NGD_SIGMA_CASES=120 NGD_IO_CASES=8 \
     NGD_RECOVERY_CASES=3 NGD_VIO_CASES=40 NGD_SPILL_CASES=6 \
     NGD_SPILL_HEAVY=0 NGD_OVERLAY_CASES=1
-  run_config asan -DCMAKE_BUILD_TYPE=Debug -DNGD_SANITIZE=ON \
-    -DNGD_BUILD_BENCHMARKS=OFF
+  run_config asan -DCMAKE_BUILD_TYPE=Debug -DNGD_SANITIZE=ON
 )
 
 # The benchmark's own test (every workload at --small size, each output

@@ -1,6 +1,7 @@
 #include "detect/inc_dect.h"
 
 #include <algorithm>
+#include <map>
 
 namespace ngd {
 
@@ -178,32 +179,32 @@ AffectedArea::AffectedArea(const Graph& g, const NgdSet& sigma,
   }
   const size_t budget = std::max<size_t>(256, g.NumNodes() / 8);
 
-  // One ball per distinct diameter; each with the set of node labels it
-  // contains, for the candidate-array intersection below.
-  std::vector<int> diameter_of_ball;
+  // One ball per distinct diameter, walked in ascending order; each with
+  // the set of node labels it contains, for the candidate-array
+  // intersection below. A ball contains every smaller-diameter ball, so
+  // once one saturates, the larger ones are marked unbounded without a
+  // walk or a |V|-sized mask.
+  std::map<int, int> ball_of_diameter;
+  for (size_t f = 0; f < sigma.size(); ++f) {
+    ball_of_diameter[sigma[f].pattern().Diameter()] = 0;
+  }
   std::vector<std::vector<uint8_t>> labels_in_ball;
   const size_t num_labels = g.schema()->labels().size();
-  ball_of_rule_.resize(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    const int d = sigma[f].pattern().Diameter();
-    auto it = std::find(diameter_of_ball.begin(), diameter_of_ball.end(), d);
-    if (it != diameter_of_ball.end()) {
-      ball_of_rule_[f] = static_cast<int>(it - diameter_of_ball.begin());
-      continue;
-    }
-    diameter_of_ball.push_back(d);
-    NodeSet ball(g.NumNodes());
-    const bool bounded = BoundedUnionBall(g, seeds, d, budget, &ball);
-    labels_in_ball.emplace_back();
-    if (bounded) {
-      labels_in_ball.back().assign(num_labels, 0);
-      for (NodeId v : ball.members()) {
-        labels_in_ball.back()[g.NodeLabel(v)] = 1;
-      }
+  bool saturated = false;
+  for (auto& [d, b] : ball_of_diameter) {
+    b = static_cast<int>(balls_.size());
+    NodeSet ball(saturated ? 0 : g.NumNodes());
+    saturated = saturated || !BoundedUnionBall(g, seeds, d, budget, &ball);
+    labels_in_ball.emplace_back(saturated ? 0 : num_labels, 0);
+    if (!saturated) {
+      for (NodeId v : ball.members()) labels_in_ball[b][g.NodeLabel(v)] = 1;
     }
     balls_.push_back(std::move(ball));
-    bounded_.push_back(bounded);
-    ball_of_rule_[f] = static_cast<int>(balls_.size()) - 1;
+    bounded_.push_back(!saturated);
+  }
+  ball_of_rule_.resize(sigma.size());
+  for (size_t f = 0; f < sigma.size(); ++f) {
+    ball_of_rule_[f] = ball_of_diameter[sigma[f].pattern().Diameter()];
   }
 
   rule_can_match_.resize(sigma.size());

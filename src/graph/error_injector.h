@@ -14,7 +14,7 @@
 //   - F1 wins         (Exp-5 NGD3): drivers' wins exceed their team's
 //   - constant bind   (GFD-expressible control: wrong constant attribute)
 // Each planter returns how many instances and how many true errors were
-// planted, giving bench_exp5 ground truth for precision/recall.
+// planted, giving ground truth for precision/recall.
 
 #ifndef NGD_GRAPH_ERROR_INJECTOR_H_
 #define NGD_GRAPH_ERROR_INJECTOR_H_

@@ -5,7 +5,7 @@
 // 269 / 11) and synthetic graphs with |L| = 500 labels and 2000 integer
 // values. Those datasets are not redistributable here, so each preset
 // below reproduces a graph family with the same label-alphabet sizes,
-// density and skew, at a configurable scale (see DESIGN.md §3). All
+// density and skew, at a configurable scale. All
 // detection algorithms are driven by exactly these statistics — label
 // selectivity, degree distribution, d-hop neighborhood size — so the
 // relative behaviour (Fig. 4 shapes) is preserved.
@@ -45,9 +45,8 @@ struct GraphGenConfig {
 std::unique_ptr<Graph> GenerateGraph(const GraphGenConfig& config,
                                      SchemaPtr schema);
 
-/// Presets mirroring §7's datasets at `scale` (1.0 = paper-sized).
-/// Defaults in bench/ use scale ≈ 1/500 so each bench finishes in seconds
-/// on a laptop; EXPERIMENTS.md records the scaled sizes.
+/// Presets mirroring §7's datasets at `scale` (1.0 = paper-sized);
+/// EXPERIMENTS.md records the scaled sizes its runs used.
 GraphGenConfig DBpediaLikeConfig(double scale, uint64_t seed = 7);
 GraphGenConfig Yago2LikeConfig(double scale, uint64_t seed = 7);
 GraphGenConfig PokecLikeConfig(double scale, uint64_t seed = 7);

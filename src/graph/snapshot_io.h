@@ -8,7 +8,7 @@
 // read, a header/table/checksum pass, then memcpy straight into the CSR
 // vectors — no text parsing, no re-sort, no re-intern. This is what makes
 // "load the graph" cheap enough to amortize detection over repeated runs
-// (see the ngdbench `ingest` series and EXPERIMENTS.md §6).
+// (EXPERIMENTS.md §6; perfbench's graph.snapshot_load_s measures it).
 //
 // Layout:
 //   FileHeader      magic "NGDSNAP1", format version, endian marker, the

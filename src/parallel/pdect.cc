@@ -43,8 +43,7 @@ class FragmentDectEngine {
         opts_(opts),
         rt_(rt),
         p_(rt.num_fragments()),
-        pool_(p_, &metrics_, opts.enable_steal && p_ > 1,
-              opts.max_queue_depth),
+        pool_(p_, &metrics_, /*enable_steal=*/p_ > 1, opts.max_queue_depth),
         local_(p_) {
     // Streaming results: each worker-local set spills under its own
     // prefix with an equal share of the budget; the merged result set
@@ -266,8 +265,8 @@ class FragmentDectEngine {
       const double seq_cost = static_cast<double>(seq_len);
       const double par_cost =
           opts_.latency_c * (k + 1.0) + seq_cost / static_cast<double>(p_);
-      if (!anchor_owned && opts_.enable_forward &&
-          seq_len >= opts_.min_forward_adjacency && par_cost < seq_cost) {
+      if (!anchor_owned && seq_len >= opts_.min_forward_adjacency &&
+          par_cost < seq_cost) {
         // Boundary-crossing match: ship the k+1 bound nodes to the
         // anchor's owner, which scans its own (owned) adjacency. Exact:
         // all nodes of any completion are within d_Σ of the anchor, so
@@ -283,8 +282,7 @@ class FragmentDectEngine {
         pool_.Forward(worker, u.home, std::move(u));
         return;
       }
-      if (opts_.enable_split && seq_len >= opts_.min_split_adjacency &&
-          par_cost < seq_cost) {
+      if (seq_len >= opts_.min_split_adjacency && par_cost < seq_cost) {
         // Work-unit splitting: broadcast p slice units of the anchor
         // adjacency (p messages, as in PIncDect).
         metrics_.splits.fetch_add(1, std::memory_order_relaxed);

@@ -50,13 +50,12 @@ struct PDectOptions : RunControl {
   /// Communication-latency constant C of the hybrid cost model (the
   /// paper fixes 60; Fig. 4(m) varies it).
   double latency_c = 60.0;
-  /// Halo-anchored expansions never forward below this adjacency length.
+  /// Halo-anchored expansions never forward below this adjacency length
+  /// (SIZE_MAX: never forward to the owner).
   size_t min_forward_adjacency = 8;
-  /// Owned adjacencies never split below this length.
+  /// Owned adjacencies never split below this length (SIZE_MAX: never
+  /// split).
   size_t min_split_adjacency = 64;
-  bool enable_steal = true;    ///< idle workers steal across fragments
-  bool enable_forward = true;  ///< hybrid forward-to-owner at halos
-  bool enable_split = true;    ///< work-unit splitting of hub adjacency
   /// Producer backpressure: a worker whose mid-run spawn (split slice,
   /// forward, child unit) targets a queue at or past this depth executes
   /// the unit inline instead of enqueueing it, bounding queue state under

@@ -164,7 +164,6 @@ class PIncDectEngine {
       pool_.Run(
           [this](int worker, PWorkUnit& unit) { ProcessUnit(worker, unit); },
           [&]() {
-            if (!opts_.enable_balance) return;
             auto now = steady_clock::now();
             if (duration_cast<milliseconds>(now - last_balance).count() <
                 opts_.balance_interval_ms) {
@@ -361,8 +360,7 @@ class PIncDectEngine {
     if (unit.slice_begin >= 0) {
       begin = static_cast<size_t>(unit.slice_begin);
       end = std::min(static_cast<size_t>(unit.slice_end), seq_len);
-    } else if (opts_.enable_split && p_ > 1 &&
-               seq_len >= opts_.min_split_adjacency) {
+    } else if (p_ > 1 && seq_len >= opts_.min_split_adjacency) {
       // Hybrid cost model: sequential |adj| vs C·(k+1) + |adj|/p, where k
       // is the number of already-matched pattern nodes.
       const double k = static_cast<double>(plan.seeds.size() + unit.depth);

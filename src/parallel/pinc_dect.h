@@ -27,8 +27,9 @@
 //      ||BVio_i|| / avg ||BVio_t||, and moves work from processors above
 //      η (= 3) to processors below η' (= 0.7).
 //
-// Ablation variants (Fig 4): PIncDect_ns (no split), PIncDect_nb (no
-// balance), PIncDect_NO (neither) are the same engine with flags off.
+// Ablation variants (Fig 4) are the same engine with a threshold out of
+// reach: PIncDect_ns sets min_split_adjacency = SIZE_MAX, PIncDect_nb a
+// balance_interval_ms longer than the run, PIncDect_NO both.
 
 #ifndef NGD_PARALLEL_PINC_DECT_H_
 #define NGD_PARALLEL_PINC_DECT_H_
@@ -63,12 +64,11 @@ struct PIncDectOptions : RunControl {
   /// Communication-latency constant C of the cost model (paper fixes 60).
   double latency_c = 60.0;
   /// Balancer wake-up interval in milliseconds (paper: 45 s at cluster
-  /// scale; milliseconds at this scale — DESIGN.md §3).
+  /// scale; milliseconds here, where a whole call takes milliseconds).
+  /// An interval longer than the run disables balancing (PIncDect_nb).
   int balance_interval_ms = 45;
-  bool enable_split = true;    ///< off = PIncDect_ns
-  bool enable_balance = true;  ///< off = PIncDect_nb
   /// Adjacency lists shorter than this never split (guard against
-  /// degenerate splits of tiny lists).
+  /// degenerate splits of tiny lists; SIZE_MAX: never split).
   size_t min_split_adjacency = 8;
   /// Optional fragment runtime (parallel/cluster.h): when set and built
   /// with num_fragments == num_processors, each pivot's initial work unit

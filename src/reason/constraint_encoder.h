@@ -85,8 +85,9 @@ struct EncodedLiteral {
 };
 
 /// Encodes literal truth (positive) or falsity-by-comparison (negated)
-/// under the node binding `h`. Fails with Unimplemented for shapes outside
-/// the supported fragment (documented in DESIGN.md §5.6).
+/// under the node binding `h`. Fails with InvalidArgument outside the
+/// linear fragment: a product of two attribute terms, a non-constant or
+/// zero divisor, or a string constant inside arithmetic.
 StatusOr<EncodedLiteral> EncodeLiteral(const Literal& lit, bool positive,
                                        const Binding& h, VarTable* vars);
 

@@ -2,7 +2,7 @@
 //
 // All stochastic components of ngdlib (graph generators, update generators,
 // rule generators) take an explicit seed and use this generator, so every
-// experiment in bench/ and every test is exactly reproducible across runs
+// benchmark workload and every test is exactly reproducible across runs
 // and platforms. The core is xoroshiro128++ seeded via splitmix64.
 
 #ifndef NGD_UTIL_RNG_H_

@@ -6,8 +6,8 @@
 //     halo owner tags agree with the partition;
 //   - persistence: FragmentRuntime::Save/Load round-trips bit-exactly
 //     enough to reproduce detection, and corrupt files are rejected;
-//   - differential: fragment-native PDect (p ∈ {1,2,4,8}) and
-//     fragment-affine PIncDect reproduce the Dect/IncDect violation sets
+//   - differential: fragment-native PDect and fragment-affine PIncDect
+//     (p ∈ {1,2,4,8}) reproduce the Dect/IncDect violation sets
 //     exactly on randomized seed-reproducible workloads.
 //
 // NGD_FRAG_CASES resizes the randomized sweeps (sanitizer CI shrinks it).
@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "detect/dect.h"
@@ -271,14 +272,13 @@ TEST(FragmentPDectTest, ForwardingResolvesBoundaryCrossingHubs) {
   EXPECT_GT(r.metrics.forwards, 0u);
 
   // The hybrid knobs only move work around; the result set is invariant.
+  // Thresholds out of reach turn forwarding and splitting off.
   PDectOptions local_only = opts;
-  local_only.enable_forward = false;
-  local_only.enable_split = false;
-  local_only.enable_steal = false;
+  local_only.min_forward_adjacency = std::numeric_limits<size_t>::max();
+  local_only.min_split_adjacency = std::numeric_limits<size_t>::max();
   PDectResult r2 = PDect(g, sigma, local_only);
   ExpectSameVio(oracle, r2.vio);
   EXPECT_EQ(r2.metrics.forwards, 0u);
-  EXPECT_EQ(r2.metrics.steals, 0u);
   EXPECT_EQ(r2.metrics.splits, 0u);
   EXPECT_GT(r2.metrics.messages, 0u);  // halo scans remain
 }
@@ -307,30 +307,34 @@ TEST(FragmentPIncDectTest, RuntimePlacementMatchesOracle) {
     auto oracle = IncDect(*g, sigma, batch);
     ASSERT_TRUE(oracle.ok());
 
-    FragmentRuntime rt(*g, 4, GraphView::kNew, 0);
-    PIncDectOptions opts;
-    opts.num_processors = 4;
-    opts.runtime = &rt;
-    opts.balance_interval_ms = 5;
-    auto result = PIncDect(*g, sigma, batch, opts);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(oracle->added.size(), result->delta.added.size());
-    EXPECT_EQ(oracle->removed.size(), result->delta.removed.size());
-    for (const auto& v : oracle->added.items()) {
-      EXPECT_TRUE(result->delta.added.Contains(v));
-    }
-    for (const auto& v : oracle->removed.items()) {
-      EXPECT_TRUE(result->delta.removed.Contains(v));
-    }
+    for (int p : {1, 2, 4, 8}) {
+      SCOPED_TRACE("p=" + std::to_string(p));
+      FragmentRuntime rt(*g, p, GraphView::kNew, 0);
+      PIncDectOptions opts;
+      opts.num_processors = p;
+      opts.runtime = &rt;
+      opts.balance_interval_ms = 5;
+      auto result = PIncDect(*g, sigma, batch, opts);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(oracle->added.size(), result->delta.added.size());
+      EXPECT_EQ(oracle->removed.size(), result->delta.removed.size());
+      for (const auto& v : oracle->added.items()) {
+        EXPECT_TRUE(result->delta.added.Contains(v));
+      }
+      for (const auto& v : oracle->removed.items()) {
+        EXPECT_TRUE(result->delta.removed.Contains(v));
+      }
 
-    // Balancer-off control (PIncDect_nb): same result, no moves metered.
-    PIncDectOptions no_balance = opts;
-    no_balance.enable_balance = false;
-    auto r2 = PIncDect(*g, sigma, batch, no_balance);
-    ASSERT_TRUE(r2.ok());
-    EXPECT_EQ(r2->balance_moves, 0u);
-    EXPECT_EQ(r2->delta.added.size(), result->delta.added.size());
-    EXPECT_EQ(r2->delta.removed.size(), result->delta.removed.size());
+      // Balancer-off control (PIncDect_nb: an interval longer than the
+      // run): same result, no moves metered.
+      PIncDectOptions no_balance = opts;
+      no_balance.balance_interval_ms = std::numeric_limits<int>::max();
+      auto r2 = PIncDect(*g, sigma, batch, no_balance);
+      ASSERT_TRUE(r2.ok());
+      EXPECT_EQ(r2->balance_moves, 0u);
+      EXPECT_EQ(r2->delta.added.size(), result->delta.added.size());
+      EXPECT_EQ(r2->delta.removed.size(), result->delta.removed.size());
+    }
   }
 }
 

@@ -12,10 +12,13 @@
 //
 // Each seed derives its workload deterministically — graph size, |ΔG|/|E|
 // (5%–40%), insert/delete ratio γ (all-delete .. all-insert), new-node
-// probability, processor count, split/balance toggles — so a failure
+// probability, processor count, base-snapshot reuse — so a failure
 // reproduces from the printed seed alone:
 //
 //   NGD_DIFF_SEED=<seed> ctest -R inc_dect_differential
+//
+// ManyLabelHubSweepAgrees runs the same comparison on a pinned hub graph
+// with hundreds of edge labels, a shape the random generator never makes.
 //
 // Case count: 1000 per engine combination by default (the acceptance
 // floor); NGD_DIFF_CASES overrides (sanitizer CI uses a smaller sweep,
@@ -83,6 +86,62 @@ struct CaseOutcome {
   bool delta_nonempty = false;
 };
 
+/// Every other engine combination against the oracle's ΔVio on one
+/// applied batch: live with the prefilter on, DeltaView IncDect, and
+/// PIncDect on both backends. `base` (optional) is a pre-batch snapshot.
+void ExpectEnginesMatchOracle(const Graph& g, const NgdSet& sigma,
+                              const UpdateBatch& batch,
+                              const GraphSnapshot* base, int processors,
+                              const DeltaVio& oracle,
+                              const std::string& repro) {
+  // Live sequential with the prefilter on: same ΔVio, less work.
+  {
+    IncDectOptions o;
+    o.snapshot_mode = SnapshotMode::kNever;
+    auto d = IncDect(g, sigma, batch, o);
+    EXPECT_TRUE(d.ok()) << repro;
+    if (!d.ok()) return;
+    ExpectSameVioSet(oracle.added, d->added, sigma,
+                     "live+prefilter ΔVio+", repro);
+    ExpectSameVioSet(oracle.removed, d->removed, sigma,
+                     "live+prefilter ΔVio-", repro);
+  }
+
+  // DeltaView sequential.
+  {
+    IncDectOptions o;
+    o.snapshot_mode = SnapshotMode::kAlways;
+    o.base_snapshot = base;
+    auto d = IncDect(g, sigma, batch, o);
+    EXPECT_TRUE(d.ok()) << repro;
+    if (!d.ok()) return;
+    ExpectSameVioSet(oracle.added, d->added, sigma, "delta-view IncDect ΔVio+",
+                     repro);
+    ExpectSameVioSet(oracle.removed, d->removed, sigma,
+                     "delta-view IncDect ΔVio-", repro);
+  }
+
+  // Parallel engines, live and DeltaView backends.
+  for (const bool use_delta : {false, true}) {
+    PIncDectOptions o;
+    o.num_processors = processors;
+    o.balance_interval_ms = 1;
+    o.snapshot_mode =
+        use_delta ? SnapshotMode::kAlways : SnapshotMode::kNever;
+    o.base_snapshot = use_delta ? base : nullptr;
+    auto d = PIncDect(g, sigma, batch, o);
+    EXPECT_TRUE(d.ok()) << repro;
+    if (!d.ok()) return;
+    const char* what_add =
+        use_delta ? "delta-view PIncDect ΔVio+" : "live PIncDect ΔVio+";
+    const char* what_rem =
+        use_delta ? "delta-view PIncDect ΔVio-" : "live PIncDect ΔVio-";
+    ExpectSameVioSet(oracle.added, d->delta.added, sigma, what_add, repro);
+    ExpectSameVioSet(oracle.removed, d->delta.removed, sigma, what_rem,
+                     repro);
+  }
+}
+
 /// One randomized differential case; everything derives from `seed`. The
 /// (graph, Σ) pair comes from the shared generator in test_util.h — the
 /// same workload space the Σ-optimizer differential harness sweeps.
@@ -95,8 +154,6 @@ CaseOutcome RunCase(uint64_t seed) {
   const double insert_fraction = gammas[rng.UniformInt(0, 4)];
   const double new_node_prob = rng.Bernoulli(0.3) ? 0.2 : 0.0;
   const int processors = static_cast<int>(rng.UniformInt(2, 4));
-  const bool enable_split = rng.Bernoulli(0.5);
-  const bool enable_balance = rng.Bernoulli(0.5);
   const bool pass_base_snapshot = rng.Bernoulli(0.5);
 
   std::ostringstream repro_os;
@@ -138,54 +195,9 @@ CaseOutcome RunCase(uint64_t seed) {
   ExpectSameVioSet(after, ApplyDelta(before, *oracle), sigma,
                    "live IncDect vs batch Dect", repro);
 
-  // Live sequential with the prefilter on: same ΔVio, less work.
-  {
-    IncDectOptions o;
-    o.snapshot_mode = SnapshotMode::kNever;
-    auto d = IncDect(*g, sigma, batch, o);
-    EXPECT_TRUE(d.ok()) << repro;
-    if (!d.ok()) return {};
-    ExpectSameVioSet(oracle->added, d->added, sigma,
-                     "live+prefilter ΔVio+", repro);
-    ExpectSameVioSet(oracle->removed, d->removed, sigma,
-                     "live+prefilter ΔVio-", repro);
-  }
-
-  // DeltaView sequential.
-  {
-    IncDectOptions o;
-    o.snapshot_mode = SnapshotMode::kAlways;
-    o.base_snapshot = base.has_value() ? &*base : nullptr;
-    auto d = IncDect(*g, sigma, batch, o);
-    EXPECT_TRUE(d.ok()) << repro;
-    if (!d.ok()) return {};
-    ExpectSameVioSet(oracle->added, d->added, sigma, "delta-view IncDect ΔVio+",
-                     repro);
-    ExpectSameVioSet(oracle->removed, d->removed, sigma,
-                     "delta-view IncDect ΔVio-", repro);
-  }
-
-  // Parallel engines, live and DeltaView backends.
-  for (const bool use_delta : {false, true}) {
-    PIncDectOptions o;
-    o.num_processors = processors;
-    o.balance_interval_ms = 1;
-    o.enable_split = enable_split;
-    o.enable_balance = enable_balance;
-    o.snapshot_mode =
-        use_delta ? SnapshotMode::kAlways : SnapshotMode::kNever;
-    o.base_snapshot = use_delta && base.has_value() ? &*base : nullptr;
-    auto d = PIncDect(*g, sigma, batch, o);
-    EXPECT_TRUE(d.ok()) << repro;
-    if (!d.ok()) return {};
-    const char* what_add =
-        use_delta ? "delta-view PIncDect ΔVio+" : "live PIncDect ΔVio+";
-    const char* what_rem =
-        use_delta ? "delta-view PIncDect ΔVio-" : "live PIncDect ΔVio-";
-    ExpectSameVioSet(oracle->added, d->delta.added, sigma, what_add, repro);
-    ExpectSameVioSet(oracle->removed, d->delta.removed, sigma, what_rem,
-                     repro);
-  }
+  ExpectEnginesMatchOracle(*g, sigma, batch,
+                           base.has_value() ? &*base : nullptr, processors,
+                           *oracle, repro);
 
   CaseOutcome outcome;
   outcome.effective_updates = batch.size();
@@ -213,6 +225,90 @@ TEST(IncDectDifferentialTest, AllEngineCombinationsAgreeWithBatchDect) {
   // effective updates and a healthy share produce a non-empty ΔVio.
   EXPECT_GT(with_updates, cases * 7 / 10);
   EXPECT_GT(with_delta, cases / 10);
+}
+
+// The many-label hub shape: 120 hubs each fan out 800 edges over 400
+// edge labels (about two entries per label per hub) to 1500 spokes, and
+// spokes feed hubs over a `feeds` label. Rules are all-wildcard 2-hop
+// paths (x)-[feeds]->(y)-[e_r]->(z), so every feeds-edge pivot binds y to
+// a hub: the live engines scan the hub's whole adjacency while the
+// DeltaView binary-searches e_r's short range. 2% of spokes violate the
+// rules' consequence, so ΔVio is not empty. Swept over |ΔG|, churning
+// feeds edges only (half deletions of existing ones, half insertions).
+TEST(IncDectDifferentialTest, ManyLabelHubSweepAgrees) {
+  constexpr int kHubs = 120, kSpokes = 1500, kFanOut = 800, kLabels = 400;
+  constexpr int kFeedsPerHub = 8, kRules = 24;
+  SchemaPtr schema = Schema::Create();
+  Graph g(schema);
+  const LabelId n = schema->InternLabel("n");
+  const LabelId feeds = schema->InternLabel("feeds");
+  const AttrId val = schema->InternAttr("val");
+  std::vector<LabelId> labels;
+  for (int l = 0; l < kLabels; ++l) {
+    labels.push_back(schema->InternLabel("e" + std::to_string(l)));
+  }
+  std::vector<NodeId> hubs, spokes;
+  for (int i = 0; i < kHubs; ++i) {
+    hubs.push_back(g.AddNode(n));
+    g.SetAttr(hubs.back(), val, Value(int64_t{1}));
+  }
+  for (int i = 0; i < kSpokes; ++i) {
+    spokes.push_back(g.AddNode(n));
+    g.SetAttr(spokes.back(), val, Value(int64_t{i % 50 == 0 ? -1 : 1}));
+  }
+  Rng rng(42);
+  for (NodeId hub : hubs) {
+    for (int k = 0; k < kFanOut; ++k) {
+      // Duplicate (src, dst, label) picks are rejected; fine to skip.
+      (void)g.AddEdge(hub, rng.PickFrom(spokes), labels[k % kLabels]);
+    }
+    for (int k = 0; k < kFeedsPerHub; ++k) {
+      (void)g.AddEdge(rng.PickFrom(spokes), hub, feeds);
+    }
+  }
+  std::string rules;
+  for (int r = 0; r < kRules; ++r) {
+    rules += "ngd hub" + std::to_string(r) +
+             " { match (x)-[feeds]->(y), (y)-[e" +
+             std::to_string((r * 7) % kLabels) + "]->(z) then z.val >= 0 }\n";
+  }
+  const NgdSet sigma = testing_util::MustParse(rules, schema);
+  ASSERT_EQ(sigma.size(), static_cast<size_t>(kRules));
+
+  for (double fraction : {0.05, 0.15, 0.25, 0.35}) {
+    const std::string repro = "hub sweep dG=" + std::to_string(fraction);
+    const size_t want = static_cast<size_t>(
+        fraction * static_cast<double>(g.NumEdges(GraphView::kNew)) / 2.0);
+    std::vector<EdgeKey> feed_edges;
+    for (NodeId s : spokes) {
+      for (const AdjEntry& e : g.OutEdges(s)) {
+        if (e.label == feeds) feed_edges.push_back(EdgeKey{s, e.other, feeds});
+      }
+    }
+    UpdateBatch batch;
+    for (size_t i = 0; i < want && i < feed_edges.size(); ++i) {
+      std::swap(feed_edges[i],
+                feed_edges[rng.UniformInt(i, feed_edges.size() - 1)]);
+      batch.updates.push_back({UpdateKind::kDelete, feed_edges[i].src,
+                               feed_edges[i].dst, feeds});
+    }
+    for (size_t i = 0; i < want; ++i) {
+      const NodeId s = rng.PickFrom(spokes), h = rng.PickFrom(hubs);
+      if (!g.HasEdge(s, h, feeds, GraphView::kNew)) {
+        batch.updates.push_back({UpdateKind::kInsert, s, h, feeds});
+      }
+    }
+    ASSERT_TRUE(ApplyUpdateBatch(&g, &batch).ok()) << repro;
+    IncDectOptions oracle_opts;
+    oracle_opts.snapshot_mode = SnapshotMode::kNever;
+    oracle_opts.affected_area_prefilter = false;
+    auto oracle = IncDect(g, sigma, batch, oracle_opts);
+    ASSERT_TRUE(oracle.ok()) << repro;
+    EXPECT_FALSE(oracle->empty()) << repro;
+    const GraphSnapshot base(g, GraphView::kOld);
+    ExpectEnginesMatchOracle(g, sigma, batch, &base, 4, *oracle, repro);
+    g.Rollback();
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "discovery/ngd_generator.h"
 #include "graph/generators.h"
 #include "parallel/pinc_dect.h"
+#include "test_util.h"
 
 namespace ngd {
 namespace {
@@ -70,93 +71,6 @@ TEST_P(PIncDectProcessorsTest, MatchesSequentialIncDect) {
 
 INSTANTIATE_TEST_SUITE_P(Processors, PIncDectProcessorsTest,
                          ::testing::Values(1, 2, 4, 8));
-
-struct VariantCase {
-  const char* name;
-  bool split;
-  bool balance;
-};
-
-class PIncDectVariantTest : public ::testing::TestWithParam<VariantCase> {};
-
-TEST_P(PIncDectVariantTest, AblationVariantsAreAllCorrect) {
-  Workload w = MakeWorkload(37);
-  PIncDectOptions opts;
-  opts.num_processors = 4;
-  opts.enable_split = GetParam().split;
-  opts.enable_balance = GetParam().balance;
-  opts.balance_interval_ms = 5;
-  auto result = PIncDect(*w.graph, w.sigma, w.batch, opts);
-  ASSERT_TRUE(result.ok());
-  ExpectSameDelta(w.expected, result->delta);
-  if (!GetParam().split) {
-    EXPECT_EQ(result->splits, 0u);
-  }
-  if (!GetParam().balance) {
-    EXPECT_EQ(result->balance_moves, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Variants, PIncDectVariantTest,
-    ::testing::Values(VariantCase{"full", true, true},
-                      VariantCase{"ns_no_split", false, true},
-                      VariantCase{"nb_no_balance", true, false},
-                      VariantCase{"NO_neither", false, false}),
-    [](const ::testing::TestParamInfo<VariantCase>& info) {
-      return info.param.name;
-    });
-
-TEST(PIncDectTest, SplittingTriggersOnHubs) {
-  // A hub with a huge adjacency list must trigger the hybrid splitter
-  // when C is small.
-  SchemaPtr schema = Schema::Create();
-  Graph g(schema);
-  LabelId n = schema->InternLabel("n");
-  LabelId e = schema->InternLabel("e");
-  AttrId v = schema->InternAttr("v");
-  NodeId hub = g.AddNode(n);
-  g.SetAttr(hub, v, Value(int64_t{0}));
-  for (int i = 0; i < 600; ++i) {
-    NodeId leaf = g.AddNode(n);
-    g.SetAttr(leaf, v, Value(int64_t{i}));
-    ASSERT_TRUE(g.AddEdge(hub, leaf, e).ok());
-  }
-  NodeId src = g.AddNode(n);
-  g.SetAttr(src, v, Value(int64_t{50}));
-
-  auto parsed = ParseNgds(
-      "ngd r { match (x:n)-[e]->(y:n), (y)-[e]->(z:n) then x.v <= z.v }",
-      schema);
-  ASSERT_TRUE(parsed.ok());
-
-  UpdateBatch batch;
-  batch.updates.push_back({UpdateKind::kInsert, src, hub, e});
-  ASSERT_TRUE(ApplyUpdateBatch(&g, &batch).ok());
-
-  auto sequential = IncDect(g, *parsed, batch);
-  ASSERT_TRUE(sequential.ok());
-
-  PIncDectOptions opts;
-  opts.num_processors = 4;
-  opts.latency_c = 1.0;  // aggressive splitting
-  opts.min_split_adjacency = 8;
-  auto result = PIncDect(g, *parsed, batch, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->splits, 0u);
-  ExpectSameDelta(*sequential, result->delta);
-}
-
-TEST(PIncDectTest, LargeLatencyDisablesSplitting) {
-  Workload w = MakeWorkload(41);
-  PIncDectOptions opts;
-  opts.num_processors = 4;
-  opts.latency_c = 1e9;
-  auto result = PIncDect(*w.graph, w.sigma, w.batch, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->splits, 0u);
-  ExpectSameDelta(w.expected, result->delta);
-}
 
 TEST(PIncDectTest, DeterministicDeltaAcrossRuns) {
   Workload w = MakeWorkload(43);
@@ -365,6 +279,27 @@ TEST(PIncDectScopeTest, SaturatedHubBallRunsUnscoped) {
                               /*hub=*/true);
   ASSERT_GT(c.graph->NumNodes(), 256u);
   EXPECT_EQ(ExpectScopedRunsMatchOracle(c), c.graph->NumNodes());
+
+  // The diameter-1 ball saturates, so the diameter-2 and -3 balls (which
+  // contain it) report unscoped too, whatever order Σ lists them in.
+  UpdateIndex index(*c.graph, c.batch);
+  const NgdSet reversed = testing_util::MustParse(R"(
+    ngd path3 {
+      match (a:n)-[e]->(b:n), (b)-[e]->(c:n), (c)-[e]->(d:n)
+      then a.v <= d.v + 30
+    }
+    ngd path2 { match (x:n)-[e]->(y:n), (y)-[e]->(z:n) then x.v <= z.v + 30 }
+    ngd edge { match (x:n)-[e]->(y:n) then x.v <= y.v + 20 }
+  )", c.schema);
+  const NgdSet* sigmas[] = {&c.sigma, &reversed};
+  for (const NgdSet* sigma : sigmas) {
+    const AffectedArea area(*c.graph, *sigma, index);
+    for (size_t r = 0; r < sigma->size(); ++r) {
+      EXPECT_EQ(area.ScopeOf(static_cast<int>(r)), nullptr)
+          << (*sigma)[r].name();
+      EXPECT_TRUE(area.RuleCanMatch(static_cast<int>(r)));
+    }
+  }
 }
 
 TEST(PIncDectScopeTest, BoundedBallsScopeEveryRule) {
@@ -376,6 +311,19 @@ TEST(PIncDectScopeTest, BoundedBallsScopeEveryRule) {
   const size_t nc = ExpectScopedRunsMatchOracle(c);
   EXPECT_GT(nc, 0u);
   EXPECT_LT(nc, c.graph->NumNodes());
+
+  // Σ = edge (d 1), path2 (d 2), path3 (d 3), triangle (d 1): each rule
+  // gets its own diameter's ball, and the balls nest.
+  const AffectedArea area(*c.graph, c.sigma, UpdateIndex(*c.graph, c.batch));
+  std::vector<const NodeSet*> scope;
+  for (int r = 0; r < 4; ++r) {
+    scope.push_back(area.ScopeOf(r));
+    ASSERT_NE(scope.back(), nullptr) << c.sigma[r].name();
+  }
+  EXPECT_EQ(scope[0], scope[3]);
+  EXPECT_LT(scope[0]->size(), scope[1]->size());
+  EXPECT_LT(scope[1]->size(), scope[2]->size());
+  EXPECT_EQ(scope[2]->size(), nc);
 }
 
 TEST(PIncDectTest, RejectsEdgelessPattern) {
