@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 namespace ngd {
 
@@ -226,43 +227,22 @@ AffectedArea::AffectedArea(const Graph& g, const NgdSet& sigma,
   }
 }
 
-bool WantDeltaView(const Graph& g, const UpdateIndex& index,
-                   const std::vector<PivotTask>& tasks) {
-  // Depth-1 frontier: every pivot task streams the adjacency of both of
-  // its endpoints at least once before any recursion — a lower bound on
-  // what the live engine scans. The base-snapshot build streams
-  // |V| + 2|E| entries with a sort-like constant; require the frontier to
-  // exceed a small multiple of that before paying the build.
-  const size_t build_cost = g.NumNodes() + g.NumEdges(GraphView::kOld) +
-                            g.NumEdges(GraphView::kNew);
-  const size_t threshold = 2 * build_cost;
-  size_t frontier = 0;
-  for (const PivotTask& t : tasks) {
-    const EffectiveUpdate& u = index.updates()[t.update_index];
-    frontier += g.AdjSize(u.edge.src) + g.AdjSize(u.edge.dst);
-    if (frontier >= threshold) return true;
+Status ValidateBaseSnapshot(const Graph& g, const GraphSnapshot* base) {
+  if (base == nullptr || base->NumNodes() <= g.NumNodes()) {
+    return Status::OK();
   }
-  return false;
-}
-
-bool ResolveDeltaView(const Graph& g, const UpdateIndex& index,
-                      const std::vector<PivotTask>& tasks, SnapshotMode mode,
-                      bool base_snapshot_provided) {
-  switch (mode) {
-    case SnapshotMode::kAlways:
-      return true;
-    case SnapshotMode::kNever:
-      return false;
-    case SnapshotMode::kAuto:
-      break;
-  }
-  return base_snapshot_provided || WantDeltaView(g, index, tasks);
+  return Status::InvalidArgument(
+      "incremental detection: base_snapshot has " +
+      std::to_string(base->NumNodes()) + " nodes but the graph has " +
+      std::to_string(g.NumNodes()) +
+      "; it must be a snapshot of this graph's base");
 }
 
 StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
                            const UpdateBatch& batch,
                            const IncDectOptions& opts) {
   NGD_RETURN_IF_ERROR(ValidateForIncremental(sigma));
+  NGD_RETURN_IF_ERROR(ValidateBaseSnapshot(g, opts.base_snapshot));
 
   // Σ-optimizer wiring (after validation, so rejection behavior matches
   // the oracle even when the offending rule would have been dropped):
@@ -287,19 +267,10 @@ StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
   std::optional<AffectedArea> area;
   if (opts.affected_area_prefilter) area.emplace(g, sigma, index);
 
-  // Backend: live overlay graph, or DeltaView over the base snapshot
-  // (owned when the caller does not maintain one across batches).
-  std::optional<GraphSnapshot> owned_base;
+  // Backend: DeltaView over the caller's base snapshot, else the live
+  // overlay graph.
   std::optional<DeltaView> dv;
-  if (ResolveDeltaView(g, index, tasks, opts.snapshot_mode,
-                       opts.base_snapshot != nullptr)) {
-    const GraphSnapshot* base = opts.base_snapshot;
-    if (base == nullptr) {
-      owned_base.emplace(g, GraphView::kOld);
-      base = &*owned_base;
-    }
-    dv.emplace(*base, g, batch);
-  }
+  if (opts.base_snapshot != nullptr) dv.emplace(*opts.base_snapshot, g, batch);
 
   // Plan cache: one expansion order per (NGD, pattern edge) seed pair.
   std::unordered_map<int64_t, MatchPlan> plans;

@@ -188,37 +188,21 @@ class AffectedArea {
 /// its pivot tasks finished; ΔVio+ spills under "<path_prefix>.add" and
 /// ΔVio- under "<path_prefix>.rem".
 struct IncDectOptions : RunControl {
-  /// Mirrors DectOptions::snapshot_mode for the incremental path:
-  ///   kNever  — match the live overlay graph (the pre-DeltaView engine,
-  ///             kept as the equivalence oracle and benchmark baseline);
-  ///   kAlways — match a DeltaView (base CSR snapshot ⊕ ΔG);
-  ///   kAuto   — use the DeltaView when `base_snapshot` is provided (the
-  ///             build is already paid), else when the cost model
-  ///             (WantDeltaView) expects the pivot searches to amortize
-  ///             an owned base-snapshot build.
-  SnapshotMode snapshot_mode = SnapshotMode::kAuto;
-  /// Optional pre-built snapshot of the base graph G — GraphView::kOld of
-  /// `g`, or a snapshot taken before the batch was applied. Production
-  /// keeps one per commit epoch and reuses it across batches, so the
-  /// incremental path never rebuilds CSR state per call.
+  /// Pre-built snapshot of the base graph G — GraphView::kOld of `g`, or
+  /// a snapshot taken before the batch was applied. When set, IncDect
+  /// matches a DeltaView (this base ⊕ ΔG); when null, it matches the live
+  /// overlay graph. Production keeps one per commit epoch and reuses it
+  /// across batches. A base with more nodes than `g` is rejected.
   const GraphSnapshot* base_snapshot = nullptr;
   /// Enable the AffectedArea prefilter + per-rule search scope. Off
   /// reproduces the pre-prefilter engine exactly (the oracle config).
   bool affected_area_prefilter = true;
 };
 
-/// The kAuto cost model: true when the depth-1 frontier the pivot tasks
-/// would stream (a lower bound on the live engine's scan volume) already
-/// exceeds a small multiple of what the O(|V| + |E|) base-snapshot build
-/// streams.
-bool WantDeltaView(const Graph& g, const UpdateIndex& index,
-                   const std::vector<PivotTask>& tasks);
-
-/// Resolves IncDectOptions to a concrete use-the-DeltaView decision.
-/// Shared by IncDect and PIncDect so both engines make the same choice.
-bool ResolveDeltaView(const Graph& g, const UpdateIndex& index,
-                      const std::vector<PivotTask>& tasks, SnapshotMode mode,
-                      bool base_snapshot_provided);
+/// InvalidArgument unless `base` could describe G for `g`: the DeltaView
+/// reads base adjacency ids against |V| of `g`, so a base with more
+/// nodes than `g` would index past the engines' node-sized masks.
+Status ValidateBaseSnapshot(const Graph& g, const GraphSnapshot* base);
 
 /// Computes ΔVio(Σ, G, ΔG). `g` must carry ΔG as its pending overlay
 /// (apply via ApplyUpdateBatch before calling; Commit afterwards).

@@ -5,10 +5,11 @@
 // The homomorphism engine (match/) is written once against this facade.
 // Batch detection (Dect, FindAnyViolation, PDect) builds a GraphSnapshot
 // per call and matches against its label-partitioned adjacency;
-// incremental detection (IncDect, PIncDect) either matches the live
-// overlay graph directly — whose adjacency carries the kInserted/kDeleted
-// states — or a DeltaView, which serves the same two views from CSR
-// label ranges plus per-node sorted delta ranges.
+// incremental detection (IncDect, PIncDect) matches a DeltaView — which
+// serves both views from CSR label ranges plus per-node sorted delta
+// ranges — when the caller passes a base snapshot, and otherwise the live
+// overlay graph directly, whose adjacency carries the
+// kInserted/kDeleted states.
 //
 // The accessor is a tagged tuple of pointers with inline dispatch — no
 // virtual calls on the hot path, and the branch is perfectly predicted

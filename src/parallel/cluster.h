@@ -14,12 +14,11 @@
 //     stealing; every unit that changes queues is charged one simulated
 //     message.
 //   - FragmentRuntime: the fragmented graph itself — p FragmentSnapshots
-//     (induced CSR + halo, parallel/fragment.h) built from one Partition,
-//     with per-fragment warm-start persistence.
+//     (induced CSR + halo, parallel/fragment.h) built from one Partition.
 //
 // PDect runs fragment-native on a FragmentRuntime + WorkStealingPool;
-// PIncDect uses the pool with fragment ownership for pivot placement and
-// the paper's skew balancer layered on top. Its candidate neighborhood
+// PIncDect uses the pool with round-robin pivot placement and the
+// paper's skew balancer layered on top. Its candidate neighborhood
 // N_C is simulated as replicated at every processor — all workers read
 // the one shared graph, each unit scoped by its rule's affected-area
 // ball (detect/inc_dect.h) — so its units run anywhere.
@@ -34,7 +33,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -326,13 +324,13 @@ class WorkStealingPool {
 /// The fragmented graph: p FragmentSnapshots over one Partition. Owns the
 /// per-fragment CSRs (built in parallel) and answers ownership queries.
 /// Thread-compatible by immutability: every member is written during
-/// construction (or Load) and only read afterwards, so all p workers share
+/// construction and only read afterwards, so all p workers share
 /// a runtime with no capability to hold — the thread-safety analysis has
 /// nothing to check here by design;
 /// per-call engines own their ClusterMetrics and charge replication from
-/// total_halo_nodes(). A runtime outlives rule sets whose max pattern
-/// diameter fits halo_hops(), so benchmarks and the future ngdd daemon
-/// build (or Load) it once and amortize across detection calls.
+/// total_halo_nodes(). PDect builds one per call; a caller that keeps a
+/// runtime serves any rule set whose max pattern diameter fits its
+/// halo depth.
 class FragmentRuntime {
  public:
   /// Partitions `view` of `g` into p fragments (label/degree-aware LDG)
@@ -345,29 +343,13 @@ class FragmentRuntime {
                   int halo_hops);
 
   int num_fragments() const { return static_cast<int>(fragments_.size()); }
-  GraphView view() const { return view_; }
-  int halo_hops() const { return halo_hops_; }
   const Partition& partition() const { return partition_; }
   const FragmentSnapshot& fragment(int f) const { return fragments_[f]; }
-  int OwnerOf(NodeId v) const { return partition_.fragment_of[v]; }
 
   /// Σ_f |halo(f)| — the honest replicated_nodes figure.
   uint64_t total_halo_nodes() const;
 
-  /// Warm-start persistence: fragment f goes to "<prefix>.f<f>.ngdfrag".
-  [[nodiscard]] Status Save(const std::string& prefix) const;
-  /// Loads p fragment files saved by Save, revalidating that they form a
-  /// consistent fragmentation (every node owned exactly once, matching
-  /// halo depth/view). Partition stats (boundary sets, crossing edges)
-  /// are reconstructed from the fragment CSRs — exact when halo_hops >= 1.
-  [[nodiscard]] static StatusOr<FragmentRuntime> Load(const std::string& prefix,
-                                                      int p, SchemaPtr schema);
-
  private:
-  FragmentRuntime() = default;
-
-  GraphView view_ = GraphView::kNew;
-  int halo_hops_ = 0;
   Partition partition_;
   std::vector<FragmentSnapshot> fragments_;
 };

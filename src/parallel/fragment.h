@@ -20,37 +20,22 @@
 //     other matched node);
 //   - `candidates` scope seed enumeration to owned nodes
 //     (owner-computes: each match is seeded exactly once cluster-wide).
-//
-// Fragments persist individually ("NGDFRAG1" container embedding the
-// snapshot_io image plus the ownership arrays) so a cluster warm-starts
-// without re-partitioning or re-building CSRs.
 
 #ifndef NGD_PARALLEL_FRAGMENT_H_
 #define NGD_PARALLEL_FRAGMENT_H_
 
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/neighborhood.h"
 #include "graph/snapshot.h"
 #include "match/candidate_index.h"
 #include "parallel/partitioner.h"
-#include "util/status.h"
 
 namespace ngd {
 
-inline constexpr uint32_t kFragmentFormatVersion = 1;
-inline constexpr char kFragmentMagic[8] = {'N', 'G', 'D', 'F',
-                                           'R', 'A', 'G', '1'};
-
 struct FragmentSnapshot {
   int fragment_id = 0;
-  int num_fragments = 1;
-  /// Halo depth d the fragment was built with; serves any rule set whose
-  /// max pattern diameter is <= halo_hops.
-  int halo_hops = 0;
   /// Induced CSR over members ∪ halo, global node ids.
   std::unique_ptr<GraphSnapshot> csr;
   std::vector<NodeId> members;      ///< owned nodes, ascending
@@ -67,21 +52,6 @@ struct FragmentSnapshot {
 FragmentSnapshot BuildFragmentSnapshot(const Graph& g, const Partition& part,
                                        int fragment_id, GraphView view,
                                        int halo_hops);
-
-/// "NGDFRAG1" container image: header + ownership arrays + the embedded
-/// snapshot_io image of `csr` (all sections FNV-1a checksummed there).
-[[nodiscard]] StatusOr<std::string> SerializeFragment(const FragmentSnapshot& frag);
-
-/// Parses a fragment image, revalidating the embedded snapshot and every
-/// ownership invariant (sorted disjoint member/halo sets, in-range owner
-/// tags). Schema contract matches DeserializeSnapshot.
-[[nodiscard]] StatusOr<FragmentSnapshot> DeserializeFragment(std::string_view bytes,
-                                               SchemaPtr schema);
-
-[[nodiscard]] Status SaveFragmentFile(const FragmentSnapshot& frag,
-                        const std::string& path);
-[[nodiscard]] StatusOr<FragmentSnapshot> LoadFragmentFile(const std::string& path,
-                                            SchemaPtr schema);
 
 }  // namespace ngd
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <optional>
 
 #include "util/thread_annotations.h"
 #include "util/timer.h"
@@ -400,7 +399,7 @@ PDectResult PDect(const Graph& g, const NgdSet& sigma,
   // Σ-optimizer wiring: minimize before fragment seeding, so dropped
   // rules never spawn work units. elapsed_seconds of the re-entry covers
   // the parallel detection itself; the (cached, amortized) minimization
-  // cost is the caller's setup, as with runtime builds.
+  // cost is the caller's setup.
   PDectOptions inner;
   MinimizedSigma m;
   if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
@@ -415,21 +414,10 @@ PDectResult PDect(const Graph& g, const NgdSet& sigma,
   }
 
   WallTimer timer;
-  const int p = std::max(1, opts.num_processors);
-  const int d_sigma = sigma.MaxDiameter();
-
-  // Reuse a caller-supplied runtime when it matches; otherwise fragment
-  // here (the clock includes it — a cold start really pays it; callers
-  // that care pre-build and pass opts.runtime).
-  std::optional<FragmentRuntime> owned_rt;
-  const FragmentRuntime* rt = opts.runtime;
-  if (rt == nullptr || rt->num_fragments() != p || rt->view() != opts.view ||
-      rt->halo_hops() < d_sigma) {
-    owned_rt.emplace(g, p, opts.view, d_sigma);
-    rt = &*owned_rt;
-  }
-
-  FragmentDectEngine engine(sigma, opts, *rt);
+  // Fragment here; the clock includes it (a cold start really pays it).
+  const FragmentRuntime rt(g, std::max(1, opts.num_processors), opts.view,
+                           sigma.MaxDiameter());
+  FragmentDectEngine engine(sigma, opts, rt);
   PDectResult result = engine.Run(GraphAccessor(g, opts.view));
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;

@@ -41,12 +41,6 @@ namespace ngd {
 struct PDectOptions : RunControl {
   int num_processors = 4;
   GraphView view = GraphView::kNew;
-  /// Pre-built fragment runtime to amortize partitioning + fragment CSR
-  /// builds across calls (benchmarks, warm starts via FragmentRuntime::
-  /// Load). Used when it matches: num_fragments == num_processors, same
-  /// view, halo_hops >= max pattern diameter of Σ; otherwise the engine
-  /// builds its own.
-  const FragmentRuntime* runtime = nullptr;
   /// Communication-latency constant C of the hybrid cost model (the
   /// paper fixes 60; Fig. 4(m) varies it).
   double latency_c = 60.0;

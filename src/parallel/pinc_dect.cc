@@ -74,17 +74,11 @@ class PIncDectEngine {
                   tasks.end());
     }
 
-    // Backend: the same resolution as IncDect. The base snapshot (and
-    // the DeltaView over it) is immutable, so all p processors share it
-    // read-only — it counts as replicated state, like N_C below.
-    if (ResolveDeltaView(g_, index_, tasks, opts_.snapshot_mode,
-                         opts_.base_snapshot != nullptr)) {
-      const GraphSnapshot* base = opts_.base_snapshot;
-      if (base == nullptr) {
-        owned_base_.emplace(g_, GraphView::kOld);
-        base = &*owned_base_;
-      }
-      dv_.emplace(*base, g_, batch_);
+    // Backend: as IncDect. The base snapshot (and the DeltaView over it)
+    // is immutable, so all p processors share it read-only — it counts
+    // as replicated state, like N_C below.
+    if (opts_.base_snapshot != nullptr) {
+      dv_.emplace(*opts_.base_snapshot, g_, batch_);
       acc_old_ = GraphAccessor(*dv_, GraphView::kOld);
       acc_new_ = GraphAccessor(*dv_, GraphView::kNew);
     } else {
@@ -118,39 +112,23 @@ class PIncDectEngine {
                                          &ngd.X(), &ngd.Y()));
     }
 
-    // Step 3: partition the pivots across BVio_i — fragment-affine when a
-    // matching runtime is supplied (the unit starts where its pivot's
-    // source lives), round-robin otherwise. Both are free initial
-    // placements (seeds are born, not sent).
-    {
-      const FragmentRuntime* rt =
-          opts_.runtime != nullptr && opts_.runtime->num_fragments() == p_
-              ? opts_.runtime
-              : nullptr;
-      size_t i = 0;
-      for (const PivotTask& t : tasks) {
-        const Ngd& ngd = sigma_[t.ngd_index];
-        const EffectiveUpdate& u = index_.updates()[t.update_index];
-        const PatternEdge& pe = ngd.pattern().edge(t.pattern_edge);
-        PWorkUnit unit;
-        unit.ngd_index = t.ngd_index;
-        unit.pattern_edge = t.pattern_edge;
-        unit.update_index = t.update_index;
-        unit.depth = 0;
-        unit.binding.assign(ngd.pattern().NumNodes(), kInvalidNode);
-        unit.binding[pe.src] = u.edge.src;
-        unit.binding[pe.dst] = u.edge.dst;
-        int target = static_cast<int>(i % p_);
-        // New nodes created by ΔG postdate the partition; they fall back
-        // to round-robin.
-        if (rt != nullptr &&
-            u.edge.src < rt->partition().fragment_of.size()) {
-          target = rt->OwnerOf(u.edge.src);
-        }
-        pending_[t.ngd_index].fetch_add(1, std::memory_order_relaxed);
-        pool_.Seed(target, std::move(unit));
-        ++i;
-      }
+    // Step 3: partition the pivots round-robin across BVio_i (a free
+    // initial placement: seeds are born, not sent).
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      const PivotTask& t = tasks[i];
+      const Ngd& ngd = sigma_[t.ngd_index];
+      const EffectiveUpdate& u = index_.updates()[t.update_index];
+      const PatternEdge& pe = ngd.pattern().edge(t.pattern_edge);
+      PWorkUnit unit;
+      unit.ngd_index = t.ngd_index;
+      unit.pattern_edge = t.pattern_edge;
+      unit.update_index = t.update_index;
+      unit.depth = 0;
+      unit.binding.assign(ngd.pattern().NumNodes(), kInvalidNode);
+      unit.binding[pe.src] = u.edge.src;
+      unit.binding[pe.dst] = u.edge.dst;
+      pending_[t.ngd_index].fetch_add(1, std::memory_order_relaxed);
+      pool_.Seed(static_cast<int>(i % p_), std::move(unit));
     }
 
     // Step 4+5: workers expand; the caller thread runs the skew balancer
@@ -499,7 +477,6 @@ class PIncDectEngine {
   const PIncDectOptions opts_;
   const int p_;
   UpdateIndex index_;
-  std::optional<GraphSnapshot> owned_base_;
   std::optional<DeltaView> dv_;
   GraphAccessor acc_old_;
   GraphAccessor acc_new_;
@@ -534,6 +511,7 @@ class PIncDectEngine {
 StatusOr<PIncDectResult> PIncDect(const Graph& g, const NgdSet& sigma,
                                   const UpdateBatch& batch,
                                   const PIncDectOptions& opts) {
+  NGD_RETURN_IF_ERROR(ValidateBaseSnapshot(g, opts.base_snapshot));
   // Σ-optimizer wiring: validate the full Σ first (rejection behavior
   // matches the oracle), then run the whole pivot/replicate/balance
   // pipeline on the minimized set and remap ΔVio back to Σ.

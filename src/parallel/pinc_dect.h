@@ -50,13 +50,9 @@ namespace ngd {
 /// "<path_prefix>.add" / "<path_prefix>.rem".
 struct PIncDectOptions : RunControl {
   int num_processors = 4;
-  /// Backend selection, exactly as IncDectOptions: kNever = live overlay
-  /// graph (the oracle/baseline), kAlways = DeltaView over the base
-  /// snapshot, kAuto = cost model (or an already-provided base_snapshot).
-  SnapshotMode snapshot_mode = SnapshotMode::kAuto;
   /// Optional pre-built snapshot of the base graph G (GraphView::kOld),
-  /// shared read-only by all simulated processors and reused across
-  /// batches by callers that maintain one per commit epoch.
+  /// as IncDectOptions: set, all simulated processors share one DeltaView
+  /// over it read-only; null, they match the live overlay graph.
   const GraphSnapshot* base_snapshot = nullptr;
   /// AffectedArea prefilter + per-rule work-unit scope, as
   /// IncDectOptions. Off: every unit runs unscoped (|N_C| = |V|).
@@ -70,13 +66,6 @@ struct PIncDectOptions : RunControl {
   /// Adjacency lists shorter than this never split (guard against
   /// degenerate splits of tiny lists; SIZE_MAX: never split).
   size_t min_split_adjacency = 8;
-  /// Optional fragment runtime (parallel/cluster.h): when set and built
-  /// with num_fragments == num_processors, each pivot's initial work unit
-  /// is placed on the processor owning the pivot's source node —
-  /// fragment-affine placement instead of round-robin. Placement only
-  /// picks a start queue: every processor reads the whole shared graph
-  /// (N_C is simulated as replicated), so any processor can run any unit.
-  const FragmentRuntime* runtime = nullptr;
   /// Producer backpressure (see PDectOptions::max_queue_depth): mid-run
   /// split broadcasts and child spawns targeting a queue at or past this
   /// depth execute inline on the producing worker. 0 disables; initial

@@ -1,5 +1,5 @@
-// Fault injection for the durability paths (update journal, snapshot and
-// fragment writers).
+// Fault injection for the durability paths (update journal and snapshot
+// writers).
 //
 // An IO routine marks each place a crash or device fault could bite with
 // a named site:

@@ -1,6 +1,6 @@
 // FNV-1a 64-bit: the checksum used by the binary snapshot sections
-// (NGDSNAP1), the fragment container (NGDFRAG1), and the update journal
-// (NGDWAL1). Not cryptographic — it detects torn writes and bit rot, not
+// (NGDSNAP1), the update journal (NGDWAL1) and the violation spill
+// segments (NGDVSEG1). Not cryptographic — it detects torn writes and bit rot, not
 // adversaries.
 
 #ifndef NGD_UTIL_HASH_H_

@@ -168,9 +168,7 @@ TEST(ClusterBackpressureTest, EnginesAgreeWithOracleAtDepthOne) {
     up.seed = seed + 3;
     UpdateBatch batch = GenerateUpdateBatch(w.graph.get(), up);
     ASSERT_TRUE(ApplyUpdateBatch(w.graph.get(), &batch).ok()) << repro;
-    IncDectOptions io;
-    io.snapshot_mode = SnapshotMode::kNever;
-    auto inc = IncDect(*w.graph, w.sigma, batch, io);
+    auto inc = IncDect(*w.graph, w.sigma, batch);
     ASSERT_TRUE(inc.ok()) << repro;
     PIncDectOptions po;
     po.num_processors = 4;

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -88,17 +89,16 @@ struct CaseOutcome {
 
 /// Every other engine combination against the oracle's ΔVio on one
 /// applied batch: live with the prefilter on, DeltaView IncDect, and
-/// PIncDect on both backends. `base` (optional) is a pre-batch snapshot.
+/// PIncDect on both backends. `base` is a snapshot of G, taken before the
+/// batch or from the overlay's kOld view after it.
 void ExpectEnginesMatchOracle(const Graph& g, const NgdSet& sigma,
                               const UpdateBatch& batch,
-                              const GraphSnapshot* base, int processors,
+                              const GraphSnapshot& base, int processors,
                               const DeltaVio& oracle,
                               const std::string& repro) {
   // Live sequential with the prefilter on: same ΔVio, less work.
   {
-    IncDectOptions o;
-    o.snapshot_mode = SnapshotMode::kNever;
-    auto d = IncDect(g, sigma, batch, o);
+    auto d = IncDect(g, sigma, batch);
     EXPECT_TRUE(d.ok()) << repro;
     if (!d.ok()) return;
     ExpectSameVioSet(oracle.added, d->added, sigma,
@@ -110,8 +110,7 @@ void ExpectEnginesMatchOracle(const Graph& g, const NgdSet& sigma,
   // DeltaView sequential.
   {
     IncDectOptions o;
-    o.snapshot_mode = SnapshotMode::kAlways;
-    o.base_snapshot = base;
+    o.base_snapshot = &base;
     auto d = IncDect(g, sigma, batch, o);
     EXPECT_TRUE(d.ok()) << repro;
     if (!d.ok()) return;
@@ -126,9 +125,7 @@ void ExpectEnginesMatchOracle(const Graph& g, const NgdSet& sigma,
     PIncDectOptions o;
     o.num_processors = processors;
     o.balance_interval_ms = 1;
-    o.snapshot_mode =
-        use_delta ? SnapshotMode::kAlways : SnapshotMode::kNever;
-    o.base_snapshot = use_delta ? base : nullptr;
+    o.base_snapshot = use_delta ? &base : nullptr;
     auto d = PIncDect(g, sigma, batch, o);
     EXPECT_TRUE(d.ok()) << repro;
     if (!d.ok()) return;
@@ -154,7 +151,7 @@ CaseOutcome RunCase(uint64_t seed) {
   const double insert_fraction = gammas[rng.UniformInt(0, 4)];
   const double new_node_prob = rng.Bernoulli(0.3) ? 0.2 : 0.0;
   const int processors = static_cast<int>(rng.UniformInt(2, 4));
-  const bool pass_base_snapshot = rng.Bernoulli(0.5);
+  const bool pre_batch_base = rng.Bernoulli(0.5);
 
   std::ostringstream repro_os;
   repro_os << "repro: NGD_DIFF_SEED=" << seed << " (nodes=" << w.nodes
@@ -177,17 +174,17 @@ CaseOutcome RunCase(uint64_t seed) {
 
   // A base snapshot taken before the batch is applied — the production
   // shape (one snapshot per commit epoch, reused across batches). The
-  // other half of the cases make the engines build their own from the
-  // overlay's kOld view, covering both DeltaView construction paths.
+  // other half of the cases take it from the overlay's kOld view after
+  // the batch, covering both DeltaView construction paths.
   std::optional<GraphSnapshot> base;
-  if (pass_base_snapshot) base.emplace(*g, GraphView::kOld);
+  if (pre_batch_base) base.emplace(*g, GraphView::kOld);
 
   EXPECT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok()) << repro;
+  if (!base.has_value()) base.emplace(*g, GraphView::kOld);
   const VioSet after = Dect(*g, sigma);
 
   // Oracle: the pre-DeltaView sequential engine, byte-for-byte.
   IncDectOptions oracle_opts;
-  oracle_opts.snapshot_mode = SnapshotMode::kNever;
   oracle_opts.affected_area_prefilter = false;
   auto oracle = IncDect(*g, sigma, batch, oracle_opts);
   EXPECT_TRUE(oracle.ok()) << repro << ": " << oracle.status().ToString();
@@ -195,9 +192,8 @@ CaseOutcome RunCase(uint64_t seed) {
   ExpectSameVioSet(after, ApplyDelta(before, *oracle), sigma,
                    "live IncDect vs batch Dect", repro);
 
-  ExpectEnginesMatchOracle(*g, sigma, batch,
-                           base.has_value() ? &*base : nullptr, processors,
-                           *oracle, repro);
+  ExpectEnginesMatchOracle(*g, sigma, batch, *base, processors, *oracle,
+                           repro);
 
   CaseOutcome outcome;
   outcome.effective_updates = batch.size();
@@ -300,13 +296,12 @@ TEST(IncDectDifferentialTest, ManyLabelHubSweepAgrees) {
     }
     ASSERT_TRUE(ApplyUpdateBatch(&g, &batch).ok()) << repro;
     IncDectOptions oracle_opts;
-    oracle_opts.snapshot_mode = SnapshotMode::kNever;
     oracle_opts.affected_area_prefilter = false;
     auto oracle = IncDect(g, sigma, batch, oracle_opts);
     ASSERT_TRUE(oracle.ok()) << repro;
     EXPECT_FALSE(oracle->empty()) << repro;
     const GraphSnapshot base(g, GraphView::kOld);
-    ExpectEnginesMatchOracle(g, sigma, batch, &base, 4, *oracle, repro);
+    ExpectEnginesMatchOracle(g, sigma, batch, base, 4, *oracle, repro);
     g.Rollback();
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "detect/dect.h"
 #include "detect/inc_dect.h"
 #include "test_util.h"
@@ -246,16 +248,26 @@ TEST_F(IncDectTest, Example6NatWestScenario) {
 
 class IncDectEdgeCaseTest : public IncDectTest {
  protected:
-  /// Runs IncDect under the given backend; fails the test on error.
+  /// Runs IncDect on the live overlay graph, or on a DeltaView over
+  /// `base` when given; fails the test on error.
   DeltaVio Delta(const NgdSet& rules, const UpdateBatch& batch,
-                 SnapshotMode mode,
                  const GraphSnapshot* base = nullptr) {
     IncDectOptions opts;
-    opts.snapshot_mode = mode;
     opts.base_snapshot = base;
     auto delta = IncDect(g_, rules, batch, opts);
     EXPECT_TRUE(delta.ok()) << delta.status().ToString();
     return delta.ok() ? *std::move(delta) : DeltaVio{};
+  }
+
+  /// ΔVio of the applied batch on both backends: live, then a DeltaView
+  /// over the overlay's kOld snapshot.
+  std::vector<DeltaVio> BothBackends(const NgdSet& rules,
+                                     const UpdateBatch& batch) {
+    const GraphSnapshot base(g_, GraphView::kOld);
+    std::vector<DeltaVio> out;
+    out.push_back(Delta(rules, batch));
+    out.push_back(Delta(rules, batch, &base));
+    return out;
   }
 };
 
@@ -281,8 +293,7 @@ TEST_F(IncDectEdgeCaseTest, DeleteThenReinsertSuppressedExactlyOnce) {
   EXPECT_FALSE(
       index.IndexOf(UpdateKind::kInsert, EdgeKey{a, b, e_}).has_value());
 
-  for (SnapshotMode mode : {SnapshotMode::kNever, SnapshotMode::kAlways}) {
-    DeltaVio delta = Delta(rules_, batch, mode);
+  for (const DeltaVio& delta : BothBackends(rules_, batch)) {
     EXPECT_EQ(delta.added.size(), 1u);
     EXPECT_TRUE(delta.added.Contains(Violation{0, {c, d}}));
     EXPECT_TRUE(delta.removed.empty());
@@ -320,8 +331,7 @@ TEST_F(IncDectEdgeCaseTest, UpdateEdgeMatchedByTwoPatternEdgesOfOneRule) {
   // Violations in G ⊕ ΔG using the inserted edge (y.v < z.v must fail):
   //   (a,b,b) 5<5, (a,b,c) 5<5, (a,c,b) 5<5 — and not the pre-existing
   //   (a,c,c). Each exactly once, on both backends.
-  for (SnapshotMode mode : {SnapshotMode::kNever, SnapshotMode::kAlways}) {
-    DeltaVio delta = Delta(rules, batch, mode);
+  for (const DeltaVio& delta : BothBackends(rules, batch)) {
     EXPECT_EQ(delta.added.size(), 3u);
     EXPECT_TRUE(delta.added.Contains(Violation{0, {a, b, b}}));
     EXPECT_TRUE(delta.added.Contains(Violation{0, {a, b, c}}));
@@ -343,12 +353,41 @@ TEST_F(IncDectEdgeCaseTest, InsertionsOntoBrandNewNodeSeedPivot) {
   batch.updates.push_back({UpdateKind::kInsert, a, fresh, e_});
   ASSERT_TRUE(ApplyUpdateBatch(&g_, &batch).ok());
 
-  DeltaVio live = Delta(rules_, batch, SnapshotMode::kNever);
-  DeltaVio delta = Delta(rules_, batch, SnapshotMode::kAlways, &base);
+  DeltaVio live = Delta(rules_, batch);
+  DeltaVio delta = Delta(rules_, batch, &base);
   for (const DeltaVio* d : {&live, &delta}) {
     EXPECT_EQ(d->added.size(), 1u);
     EXPECT_TRUE(d->added.Contains(Violation{0, {a, fresh}}));
     EXPECT_TRUE(d->removed.empty());
+  }
+}
+
+TEST_F(IncDectTest, RejectsBaseSnapshotLargerThanGraph) {
+  // A base snapshot must describe this graph's G. One with more nodes
+  // than the graph hands the DeltaView neighbour ids past |V| (here the
+  // base's 7 -> b edge, reached when z expands from b), which index past
+  // the touched bitmap, so IncDect refuses it before building any view.
+  Graph bigger(schema_);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(bigger.AddNode(n_));
+  ASSERT_TRUE(bigger.AddEdge(ids[7], ids[1], e_).ok());
+  const GraphSnapshot base(bigger, GraphView::kOld);
+
+  NodeId a = AddValueNode(10), b = AddValueNode(5);
+  UpdateBatch batch;
+  batch.updates.push_back({UpdateKind::kInsert, a, b, e_});
+  ASSERT_TRUE(ApplyUpdateBatch(&g_, &batch).ok());
+  ASSERT_LT(g_.NumNodes(), base.NumNodes());
+  NgdSet fan_in = MustParse(
+      "ngd p { match (x:n)-[e]->(y:n), (z:n)-[e]->(y) then x.v <= z.v }",
+      schema_);
+  for (bool prefilter : {true, false}) {
+    IncDectOptions opts;
+    opts.base_snapshot = &base;
+    opts.affected_area_prefilter = prefilter;
+    auto delta = IncDect(g_, fan_in, batch, opts);
+    EXPECT_EQ(delta.status().code(), StatusCode::kInvalidArgument)
+        << "prefilter=" << prefilter;
   }
 }
 

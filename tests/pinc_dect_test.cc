@@ -227,7 +227,6 @@ ScopeCase MakeScopeCase(uint64_t seed, size_t num_nodes, int triangles,
 // × live/DeltaView backend; returns the prefiltered runs' |N_C|.
 size_t ExpectScopedRunsMatchOracle(const ScopeCase& c) {
   IncDectOptions oracle_opts;
-  oracle_opts.snapshot_mode = SnapshotMode::kNever;
   oracle_opts.affected_area_prefilter = false;
   auto oracle = IncDect(*c.graph, c.sigma, c.batch, oracle_opts);
   EXPECT_TRUE(oracle.ok());
@@ -243,17 +242,18 @@ size_t ExpectScopedRunsMatchOracle(const ScopeCase& c) {
   EXPECT_GT(oracle->added.size(), 0u);
   EXPECT_GT(oracle->removed.size(), 0u);
 
+  const GraphSnapshot base(*c.graph, GraphView::kOld);
   size_t nc = 0;
   for (int p : {1, 2, 4}) {
     for (bool prefilter : {true, false}) {
-      for (SnapshotMode mode : {SnapshotMode::kNever, SnapshotMode::kAlways}) {
+      for (const bool delta_view : {false, true}) {
         SCOPED_TRACE(::testing::Message()
                      << "p=" << p << " prefilter=" << prefilter
-                     << " delta_view=" << (mode == SnapshotMode::kAlways));
+                     << " delta_view=" << delta_view);
         PIncDectOptions opts;
         opts.num_processors = p;
         opts.affected_area_prefilter = prefilter;
-        opts.snapshot_mode = mode;
+        opts.base_snapshot = delta_view ? &base : nullptr;
         opts.balance_interval_ms = 1;
         auto result = PIncDect(*c.graph, c.sigma, c.batch, opts);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -336,6 +336,38 @@ TEST(PIncDectTest, RejectsEdgelessPattern) {
   PIncDectOptions opts;
   auto result = PIncDect(g, *parsed, batch, opts);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(PIncDectTest, RejectsBaseSnapshotLargerThanGraph) {
+  // As IncDect: a base with more nodes than the graph hands the shared
+  // DeltaView neighbour ids past |V| (the base's 7 -> b edge, reached
+  // when z expands from b), so PIncDect refuses it up front.
+  SchemaPtr schema = Schema::Create();
+  const LabelId n = schema->InternLabel("n");
+  const LabelId e = schema->InternLabel("e");
+  Graph bigger(schema);
+  for (int i = 0; i < 8; ++i) bigger.AddNode(n);
+  ASSERT_TRUE(bigger.AddEdge(7, 1, e).ok());
+  const GraphSnapshot base(bigger, GraphView::kOld);
+  Graph g(schema);
+  const NodeId a = g.AddNode(n), b = g.AddNode(n);
+  UpdateBatch batch;
+  batch.updates.push_back({UpdateKind::kInsert, a, b, e});
+  ASSERT_TRUE(ApplyUpdateBatch(&g, &batch).ok());
+  const NgdSet fan_in = testing_util::MustParse(
+      "ngd p { match (x:n)-[e]->(y:n), (z:n)-[e]->(y) then x.v <= z.v }",
+      schema);
+  for (int p : {1, 4}) {
+    for (bool prefilter : {true, false}) {
+      PIncDectOptions opts;
+      opts.num_processors = p;
+      opts.base_snapshot = &base;
+      opts.affected_area_prefilter = prefilter;
+      auto result = PIncDect(g, fan_in, batch, opts);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << "p=" << p << " prefilter=" << prefilter;
+    }
+  }
 }
 
 TEST(PIncDectTest, EmptyBatchTerminatesImmediately) {

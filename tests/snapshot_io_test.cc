@@ -592,9 +592,7 @@ TEST(SnapshotIoEquivalenceTest, TextAndBinaryIngestAgreeOnAllFourEngines) {
     ASSERT_TRUE(ApplyUpdateBatch(gb->get(), &batch_b).ok());
     ASSERT_EQ(batch_t.size(), batch_b.size()) << "case " << c;
 
-    IncDectOptions iopts_t;
-    iopts_t.snapshot_mode = SnapshotMode::kNever;
-    auto delta_t = IncDect(**gt, sigma, batch_t, iopts_t);
+    auto delta_t = IncDect(**gt, sigma, batch_t);
     ASSERT_TRUE(delta_t.ok()) << delta_t.status().ToString();
     IncDectOptions iopts_b;
     iopts_b.base_snapshot = loaded->get();

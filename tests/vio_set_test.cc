@@ -408,15 +408,16 @@ void RunEngineCase(uint64_t seed) {
   ASSERT_TRUE(ApplyUpdateBatch(w.graph.get(), &batch).ok()) << repro;
   const VioSet after = Dect(*w.graph, w.sigma, live);
 
-  IncDectOptions io;
-  io.snapshot_mode = SnapshotMode::kNever;
-  auto inc = IncDect(*w.graph, w.sigma, batch, io);
+  auto inc = IncDect(*w.graph, w.sigma, batch);
   ASSERT_TRUE(inc.ok()) << repro;
   ExpectSameSorted(after.Sorted(), ApplyDelta(before, *inc).Sorted(),
                    repro + " IncDect ApplyDelta");
 
+  // PIncDect on the DeltaView backend, against the live IncDect above.
+  const GraphSnapshot base(*w.graph, GraphView::kOld);
   PIncDectOptions po;
   po.num_processors = static_cast<int>(rng.UniformInt(2, 4));
+  po.base_snapshot = &base;
   auto pinc = PIncDect(*w.graph, w.sigma, batch, po);
   ASSERT_TRUE(pinc.ok()) << repro;
   ExpectSameSorted(inc->added.Sorted(), pinc->delta.added.Sorted(),

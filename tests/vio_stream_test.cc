@@ -303,7 +303,6 @@ void RunEngineSpillCase(uint64_t seed, size_t budget, const char* regime) {
   ASSERT_TRUE(ApplyUpdateBatch(w.graph.get(), &batch).ok()) << repro;
 
   IncDectOptions io;
-  io.snapshot_mode = SnapshotMode::kNever;
   auto oracle = IncDect(*w.graph, w.sigma, batch, io);
   ASSERT_TRUE(oracle.ok()) << repro;
   const std::vector<Violation> want_add = oracle->added.Sorted();
@@ -319,8 +318,11 @@ void RunEngineSpillCase(uint64_t seed, size_t budget, const char* regime) {
     ExpectSetStreams(want_rem, inc->removed, repro + " IncDect ΔVio-");
   }
   {
+    // DeltaView backend, against the live IncDect oracle.
+    const GraphSnapshot base(*w.graph, GraphView::kOld);
     PIncDectOptions o;
     o.num_processors = static_cast<int>(rng.UniformInt(2, 4));
+    o.base_snapshot = &base;
     spill.path_prefix = prefix + ".pinc";
     o.spill = &spill;
     auto pinc = PIncDect(*w.graph, w.sigma, batch, o);

@@ -7,7 +7,7 @@
 //                       naming the site). A failpoint no test fires is
 //                       untested crash handling.
 //   magic-duplicate /   each binary-format magic (NGDWAL1, NGDSNAP1,
-//   magic-missing       NGDVSEG1, NGDFRAG1) must be defined exactly once
+//   magic-missing       NGDVSEG1) must be defined exactly once
 //                       in src/ — a second copy is a fork of the format.
 //                       Both char-array initializers and exact string
 //                       literals count as definitions; substrings inside
@@ -194,7 +194,7 @@ std::string QuotedAfter(const std::string& code, size_t pos) {
 
 // ---- Rules ---------------------------------------------------------------
 
-const char* const kMagics[] = {"NGDWAL1", "NGDSNAP1", "NGDVSEG1", "NGDFRAG1"};
+const char* const kMagics[] = {"NGDWAL1", "NGDSNAP1", "NGDVSEG1"};
 
 // Reconstructs every run of adjacent char literals ('N', 'G', ...) in the
 // file — the form all format magics are defined in — plus every exact
